@@ -8,7 +8,7 @@
 //! `BENCH_BASELINE.json` and fails (exit 1) if any tracked metric regressed
 //! past its allowance. Every tracked metric carries a *tolerance
 //! multiplier* on top of the base tolerance (`--tolerance`, default 20%):
-//! deterministic cell counts are held tight (1% at the default), while
+//! deterministic counters are held tight (5% or less at the default), while
 //! wall-clock timings and throughputs get headroom for scheduler noise.
 //! The before/after table is printed whether or not the gate passes.
 //!
@@ -20,8 +20,8 @@ use xsb_obs::Json;
 /// is allowed to move in the bad direction.
 struct Metric {
     name: &'static str,
-    /// `true` when larger values are better (throughput, speedup, savings);
-    /// `false` when smaller values are better (seconds, cells held).
+    /// `true` when larger values are better (throughput, speedup);
+    /// `false` when smaller values are better (seconds, error counts).
     higher_is_better: bool,
     /// Multiplier on the base tolerance. Deterministic counters use a
     /// small multiplier; noisy wall-clock measurements a large one.
@@ -53,18 +53,6 @@ const METRICS: &[Metric] = &[
             let misses = num_at(r, &["serving", "table_misses"])?;
             Some(hits / (hits + misses).max(1.0))
         },
-    },
-    Metric {
-        name: "factoring.cells_saved",
-        higher_is_better: true,
-        tol_mult: 0.05,
-        extract: |r| sum_factoring(r, "answer_cells_saved", true),
-    },
-    Metric {
-        name: "factoring.store_cells",
-        higher_is_better: false,
-        tol_mult: 0.05,
-        extract: |r| sum_factoring(r, "store_cells", true),
     },
     Metric {
         // a ratio of two same-run timings, so machine speed divides out,
@@ -259,23 +247,6 @@ fn num_at(r: &Json, path: &[&str]) -> Option<f64> {
     as_f64(cur)
 }
 
-/// Sums `field` over the factoring rows, optionally only the
-/// substitution-factored stores (the gate guards the factored
-/// representation, not the full-tuple baseline).
-fn sum_factoring(r: &Json, field: &str, factored_only: bool) -> Option<f64> {
-    let Json::Arr(rows) = r.get("factoring")? else {
-        return None;
-    };
-    let mut total = 0.0;
-    for row in rows {
-        if factored_only && row.get("factored") != Some(&Json::Bool(true)) {
-            continue;
-        }
-        total += as_f64(row.get(field)?)?;
-    }
-    Some(total)
-}
-
 #[derive(Debug, PartialEq, Clone, Copy)]
 enum Status {
     Pass,
@@ -442,17 +413,7 @@ mod tests {
     use super::*;
 
     /// A minimal report with every tracked section populated.
-    #[allow(clippy::too_many_arguments)]
-    fn report(
-        cold: f64,
-        warm: f64,
-        hits: i64,
-        misses: i64,
-        saved: i64,
-        store: i64,
-        speedup: f64,
-        qps: f64,
-    ) -> Json {
+    fn report(cold: f64, warm: f64, hits: i64, misses: i64, speedup: f64, qps: f64) -> Json {
         Json::obj([
             (
                 "serving",
@@ -461,22 +422,6 @@ mod tests {
                     ("warm_secs", Json::Num(warm)),
                     ("table_hits", Json::Int(hits)),
                     ("table_misses", Json::Int(misses)),
-                ]),
-            ),
-            (
-                "factoring",
-                Json::Arr(vec![
-                    Json::obj([
-                        ("factored", Json::Bool(true)),
-                        ("answer_cells_saved", Json::Int(saved)),
-                        ("store_cells", Json::Int(store)),
-                    ]),
-                    // the unfactored baseline row is ignored by the gate
-                    Json::obj([
-                        ("factored", Json::Bool(false)),
-                        ("answer_cells_saved", Json::Int(0)),
-                        ("store_cells", Json::Int(store * 3)),
-                    ]),
                 ]),
             ),
             (
@@ -553,7 +498,7 @@ mod tests {
     }
 
     fn base() -> Json {
-        report(0.10, 0.01, 90, 10, 1000, 500, 4.0, 50_000.0)
+        report(0.10, 0.01, 90, 10, 4.0, 50_000.0)
     }
 
     #[test]
@@ -565,7 +510,7 @@ mod tests {
 
     #[test]
     fn improvements_pass_even_when_large() {
-        let cur = report(0.01, 0.001, 99, 1, 2000, 250, 10.0, 500_000.0);
+        let cur = report(0.01, 0.001, 99, 1, 10.0, 500_000.0);
         let rows = compare(&base(), &cur, 0.20);
         assert!(gate_passes(&rows), "{rows:?}");
     }
@@ -573,7 +518,7 @@ mod tests {
     #[test]
     fn time_regression_past_allowance_fails() {
         // cold_secs allowance is 20% × 2.5 = 50%; a 2x slowdown fails
-        let cur = report(0.20, 0.01, 90, 10, 1000, 500, 4.0, 50_000.0);
+        let cur = report(0.20, 0.01, 90, 10, 4.0, 50_000.0);
         let rows = compare(&base(), &cur, 0.20);
         assert!(!gate_passes(&rows));
         let r = rows.iter().find(|r| r.name == "serving.cold_secs").unwrap();
@@ -583,20 +528,20 @@ mod tests {
     #[test]
     fn time_noise_inside_allowance_passes() {
         // 30% slower is inside the 50% wall-clock allowance
-        let cur = report(0.13, 0.012, 90, 10, 1000, 500, 4.0, 50_000.0);
+        let cur = report(0.13, 0.012, 90, 10, 4.0, 50_000.0);
         let rows = compare(&base(), &cur, 0.20);
         assert!(gate_passes(&rows), "{rows:?}");
     }
 
     #[test]
     fn deterministic_counter_is_held_tight() {
-        // 3% fewer cells saved: inside 20% base tolerance, but the
-        // factoring counter allows only 20% × 0.05 = 1%
-        let cur = report(0.10, 0.01, 90, 10, 970, 500, 4.0, 50_000.0);
+        // hit rate 0.90 → 0.84 is a 6.7% drop: inside the 20% base
+        // tolerance, but the counter ratio allows only 20% × 0.25 = 5%
+        let cur = report(0.10, 0.01, 84, 16, 4.0, 50_000.0);
         let rows = compare(&base(), &cur, 0.20);
         let r = rows
             .iter()
-            .find(|r| r.name == "factoring.cells_saved")
+            .find(|r| r.name == "serving.warm_hit_rate")
             .unwrap();
         assert_eq!(r.status, Status::Fail, "{rows:?}");
     }
@@ -605,7 +550,7 @@ mod tests {
     fn qps_regression_fails_and_direction_is_respected() {
         // warm_qps is higher-is-better with a 20% × 2.5 = 50% allowance:
         // dropping by 70% fails
-        let cur = report(0.10, 0.01, 90, 10, 1000, 500, 4.0, 15_000.0);
+        let cur = report(0.10, 0.01, 90, 10, 4.0, 15_000.0);
         let rows = compare(&base(), &cur, 0.20);
         let r = rows
             .iter()
@@ -758,7 +703,7 @@ mod tests {
     #[test]
     fn tolerance_flag_scales_every_allowance() {
         // at 100% base tolerance the 2x cold slowdown passes (allowance 250%)
-        let cur = report(0.20, 0.01, 90, 10, 1000, 500, 4.0, 50_000.0);
+        let cur = report(0.20, 0.01, 90, 10, 4.0, 50_000.0);
         let rows = compare(&base(), &cur, 1.0);
         assert!(gate_passes(&rows), "{rows:?}");
     }

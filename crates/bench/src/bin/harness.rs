@@ -5,9 +5,9 @@
 //! ```
 //!
 //! Experiments: `table2 fig2 fig5-cycle fig5-fanout table3 slg-vs-sld
-//! append hilog dynamic-vs-static bulkload serving factoring concurrent
+//! append hilog dynamic-vs-static bulkload serving concurrent
 //! emulator durability serving_net wfs all` (default `all`). `baseline`
-//! runs just the gate-tracked subset (`serving factoring concurrent
+//! runs just the gate-tracked subset (`serving concurrent
 //! emulator durability serving_net`) — it is
 //! what `scripts/ci.sh` compares against `BENCH_BASELINE.json`, with the
 //! noisy experiments (`concurrent`, `serving_net`) taken best-of-3 and
@@ -19,9 +19,8 @@
 //! `--json PATH` additionally writes a machine-readable report: per-
 //! experiment wall-clock seconds, an engine-counter snapshot from an
 //! instrumented reference workload (win/1 height 4 + path/2 over a
-//! cycle), and — when the `serving`, `factoring`, or `concurrent`
-//! experiments ran — their warm-vs-cold timings, table counters,
-//! answer-store cell accounting, and pool throughput.
+//! cycle), and — when the `serving` or `concurrent` experiments ran —
+//! their warm-vs-cold timings, table counters, and pool throughput.
 
 use std::time::Instant;
 use xsb_bench::runners::*;
@@ -49,7 +48,6 @@ fn main() {
     let mut timings: Vec<(String, f64)> = Vec::new();
     let mut serving_report: Option<ServingReport> = None;
     let mut emulator_rows: Option<Vec<EmulatorRow>> = None;
-    let mut factoring_rows: Option<Vec<FactoringRow>> = None;
     let mut concurrent_report: Option<ConcurrentReport> = None;
     let mut durability_report: Option<DurabilityReport> = None;
     let mut net_report: Option<NetServingReport> = None;
@@ -73,7 +71,6 @@ fn main() {
         "dynamic-vs-static" => run("dynamic-vs-static", &mut || dynamic_vs_static(quick)),
         "bulkload" => run("bulkload", &mut || bulkload(quick)),
         "serving" => run("serving", &mut || serving_report = Some(serving(quick))),
-        "factoring" => run("factoring", &mut || factoring_rows = Some(factoring(quick))),
         "concurrent" => run("concurrent", &mut || {
             concurrent_report = Some(concurrent(quick))
         }),
@@ -93,7 +90,6 @@ fn main() {
             const NOISY_REPS: usize = 3;
             noisy_reps = Some(NOISY_REPS);
             run("serving", &mut || serving_report = Some(serving(quick)));
-            run("factoring", &mut || factoring_rows = Some(factoring(quick)));
             run("concurrent", &mut || {
                 concurrent_report = (0..NOISY_REPS)
                     .map(|_| concurrent(quick))
@@ -111,7 +107,6 @@ fn main() {
         }
         "trace" => run("trace", &mut || trace_json = Some(trace_experiment())),
         "wfs" => run("wfs", &mut wfs),
-        "ablation-tables" => run("ablation-tables", &mut || ablation_tables(quick)),
         "ablation-seminaive" => run("ablation-seminaive", &mut || ablation_seminaive(quick)),
         "all" => {
             run("table2", &mut || table2(quick));
@@ -125,7 +120,6 @@ fn main() {
             run("dynamic-vs-static", &mut || dynamic_vs_static(quick));
             run("bulkload", &mut || bulkload(quick));
             run("serving", &mut || serving_report = Some(serving(quick)));
-            run("factoring", &mut || factoring_rows = Some(factoring(quick)));
             run("concurrent", &mut || {
                 concurrent_report = Some(concurrent(quick))
             });
@@ -134,7 +128,6 @@ fn main() {
                 durability_report = Some(durability(quick))
             });
             run("serving_net", &mut || net_report = Some(serving_net(quick)));
-            run("ablation-tables", &mut || ablation_tables(quick));
             run("ablation-seminaive", &mut || ablation_seminaive(quick));
             run("wfs", &mut wfs);
         }
@@ -153,7 +146,6 @@ fn main() {
                 noisy_reps,
                 &timings,
                 serving_report.as_ref(),
-                factoring_rows.as_deref(),
                 concurrent_report.as_ref(),
                 emulator_rows.as_deref(),
                 durability_report.as_ref(),
@@ -177,7 +169,6 @@ fn json_report(
     noisy_reps: Option<usize>,
     timings: &[(String, f64)],
     serving: Option<&ServingReport>,
-    factoring: Option<&[FactoringRow]>,
     concurrent: Option<&ConcurrentReport>,
     emulator: Option<&[EmulatorRow]>,
     durability: Option<&DurabilityReport>,
@@ -225,29 +216,6 @@ fn json_report(
                 ("table_invalidations", Json::Int(s.invalidations as i64)),
                 ("table_evictions", Json::Int(s.evictions as i64)),
             ]),
-        ));
-    }
-    if let Some(rows) = factoring {
-        fields.push((
-            "factoring",
-            Json::Arr(
-                rows.iter()
-                    .map(|r| {
-                        Json::obj([
-                            ("n", Json::Int(r.n)),
-                            ("index", Json::str(r.index)),
-                            ("factored", Json::Bool(r.factored)),
-                            ("store_cells", Json::Int(r.store_cells as i64)),
-                            ("answer_cells_factored", Json::Int(r.cells_factored as i64)),
-                            ("answer_cells_full", Json::Int(r.cells_full as i64)),
-                            ("answer_cells_saved", Json::Int(r.cells_saved as i64)),
-                            ("cold_secs", Json::Num(r.cold_secs)),
-                            ("warm_secs", Json::Num(r.warm_secs)),
-                            ("warm_answers_per_sec", Json::Num(r.warm_answers_per_sec)),
-                        ])
-                    })
-                    .collect(),
-            ),
         ));
     }
     if let Some(c) = concurrent {
@@ -697,33 +665,6 @@ fn serving(quick: bool) -> ServingReport {
     r
 }
 
-fn factoring(quick: bool) -> Vec<FactoringRow> {
-    header("E14 / §4.5 — substitution factoring: answer store and warm serving of path(1,X)");
-    println!("answers store only the bindings of the call's distinct variables;");
-    println!("the full-tuple baseline re-expands the call skeleton into every answer");
-    let sizes: &[i64] = if quick { &[64, 256] } else { &[64, 256, 1024] };
-    let warm_reps = if quick { 3 } else { 5 };
-    let rows = run_factoring(sizes, warm_reps);
-    println!(
-        "{:>6} {:>6} {:>10} {:>12} {:>12} {:>12} {:>12} {:>14}",
-        "n", "index", "store", "store cells", "saved cells", "cold (s)", "warm (s)", "warm ans/s"
-    );
-    for r in &rows {
-        println!(
-            "{:>6} {:>6} {:>10} {:>12} {:>12} {:>12.6} {:>12.6} {:>14.0}",
-            r.n,
-            r.index,
-            if r.factored { "factored" } else { "full" },
-            r.store_cells,
-            r.cells_saved,
-            r.cold_secs,
-            r.warm_secs,
-            r.warm_answers_per_sec
-        );
-    }
-    rows
-}
-
 fn concurrent(quick: bool) -> ConcurrentReport {
     header("E15 — concurrent serving: shared-table engine pool");
     println!("contended cold: every worker races every first call — claim/wait dedups");
@@ -873,43 +814,6 @@ fn serving_net(quick: bool) -> NetServingReport {
         r.protocol_errors
     );
     r
-}
-
-fn ablation_tables(quick: bool) {
-    header("Ablation / §4.5 — hash vs trie table indexing (path over full cycle closure)");
-    println!("paper: trie indexing \"will both decrease the space and the time necessary for saving answers\"");
-    let sizes: &[i64] = if quick {
-        &[32, 64]
-    } else {
-        &[32, 64, 128, 256]
-    };
-    let reps = if quick { 2 } else { 3 };
-    println!(
-        "{:>6} {:>12} {:>12} {:>8} {:>12} {:>12} {:>8} {:>12} {:>12}",
-        "n",
-        "hash (s)",
-        "trie (s)",
-        "t/h",
-        "hash cells",
-        "trie cells",
-        "space",
-        "hash unfac",
-        "trie unfac"
-    );
-    for r in run_table_index_ablation(sizes, reps) {
-        println!(
-            "{:>6} {:>12.6} {:>12.6} {:>8.2} {:>12} {:>12} {:>8.2} {:>12} {:>12}",
-            r.n,
-            r.hash_secs,
-            r.trie_secs,
-            r.trie_secs / r.hash_secs,
-            r.hash_cells,
-            r.trie_cells,
-            r.trie_cells as f64 / r.hash_cells as f64,
-            r.hash_unfactored_cells,
-            r.trie_unfactored_cells
-        );
-    }
 }
 
 fn ablation_seminaive(quick: bool) {

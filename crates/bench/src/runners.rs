@@ -837,199 +837,6 @@ mod tests {
         let row = run_bulkload(300, 1);
         assert!(row.object_secs > 0.0);
     }
-
-    #[test]
-    fn factoring_strictly_reduces_store_cells() {
-        let rows = run_factoring(&[24], 2);
-        assert_eq!(rows.len(), 4, "factored/unfactored x hash/trie");
-        for pair in rows.chunks(2) {
-            let (fac, unfac) = (&pair[0], &pair[1]);
-            assert!(fac.factored && !unfac.factored);
-            assert_eq!(fac.index, unfac.index);
-            assert!(
-                fac.store_cells < unfac.store_cells,
-                "{}: factored {} cells < unfactored {}",
-                fac.index,
-                fac.store_cells,
-                unfac.store_cells
-            );
-            assert!(fac.cells_saved > 0, "{fac:?}");
-            assert_eq!(fac.cells_full, fac.cells_factored + fac.cells_saved);
-        }
-    }
-
-    #[test]
-    fn table_index_ablation_includes_unfactored_baseline() {
-        let rows = run_table_index_ablation(&[12], 1);
-        assert_eq!(rows.len(), 1);
-        let r = &rows[0];
-        // path(X,Y) over a cycle is an all-variable call: factored and
-        // full answers coincide, so the baseline stores the same cells
-        assert!(r.hash_cells <= r.hash_unfactored_cells, "{r:?}");
-        assert!(r.trie_cells <= r.trie_unfactored_cells, "{r:?}");
-    }
-}
-
-// ---------------------------------------------------------------------
-// Ablation — hash vs trie table indexing (paper §4.5 future work)
-// ---------------------------------------------------------------------
-
-#[derive(Debug, Clone)]
-pub struct TableIndexRow {
-    pub n: i64,
-    pub hash_secs: f64,
-    pub trie_secs: f64,
-    pub hash_cells: u64,
-    pub trie_cells: u64,
-    /// same workload with substitution factoring off (full tuples)
-    pub hash_unfactored_cells: u64,
-    pub trie_unfactored_cells: u64,
-}
-
-/// An engine on the Figure-5 cycle workload with a chosen table index and
-/// answer-store representation.
-fn configured_engine(
-    index: xsb_core::table::TableIndex,
-    factored: bool,
-    edges: &[(i64, i64)],
-) -> Engine {
-    let mut e = Engine::new();
-    e.set_table_index(index);
-    e.set_answer_factoring(factored);
-    e.declare_dynamic("edge", 2).unwrap();
-    e.consult(PATH_LEFT_TABLED).unwrap();
-    let edge = e.syms.intern("edge");
-    for &(a, b) in edges {
-        e.assert_term(&xsb_syntax::Term::Compound(
-            edge,
-            vec![xsb_syntax::Term::Int(a), xsb_syntax::Term::Int(b)],
-        ))
-        .unwrap();
-    }
-    e
-}
-
-/// Compares the two table-index representations on the Figure-5 cycle
-/// workload: evaluation time and answer-store cells.
-pub fn run_table_index_ablation(sizes: &[i64], reps: usize) -> Vec<TableIndexRow> {
-    let mut out = Vec::new();
-    for &n in sizes {
-        let edges = cycle_edges(n);
-        let expected = n as usize;
-
-        let mut hash_e = engine_with_edges(PATH_LEFT_TABLED, &edges);
-        let t_hash = time_best(reps, || {
-            hash_e.abolish_all_tables();
-            assert_eq!(hash_e.count("path(X, Y)").unwrap(), expected * expected);
-        });
-        let hash_cells = hash_e.tables.answer_store_cells();
-
-        let mut trie_e = Engine::new();
-        trie_e.set_table_index(xsb_core::table::TableIndex::Trie);
-        trie_e.declare_dynamic("edge", 2).unwrap();
-        trie_e.consult(PATH_LEFT_TABLED).unwrap();
-        let edge = trie_e.syms.intern("edge");
-        for &(a, b) in &edges {
-            trie_e
-                .assert_term(&xsb_syntax::Term::Compound(
-                    edge,
-                    vec![xsb_syntax::Term::Int(a), xsb_syntax::Term::Int(b)],
-                ))
-                .unwrap();
-        }
-        let t_trie = time_best(reps, || {
-            trie_e.abolish_all_tables();
-            assert_eq!(trie_e.count("path(X, Y)").unwrap(), expected * expected);
-        });
-        let trie_cells = trie_e.tables.answer_store_cells();
-
-        // the unfactored baseline under both indexes (cells only: the
-        // timing comparison at full scale is E14's job)
-        let mut unfac_hash = configured_engine(xsb_core::table::TableIndex::Hash, false, &edges);
-        assert_eq!(unfac_hash.count("path(X, Y)").unwrap(), expected * expected);
-        let hash_unfactored_cells = unfac_hash.tables.answer_store_cells();
-        let mut unfac_trie = configured_engine(xsb_core::table::TableIndex::Trie, false, &edges);
-        assert_eq!(unfac_trie.count("path(X, Y)").unwrap(), expected * expected);
-        let trie_unfactored_cells = unfac_trie.tables.answer_store_cells();
-
-        out.push(TableIndexRow {
-            n,
-            hash_secs: secs(t_hash),
-            trie_secs: secs(t_trie),
-            hash_cells,
-            trie_cells,
-            hash_unfactored_cells,
-            trie_unfactored_cells,
-        });
-    }
-    out
-}
-
-// ---------------------------------------------------------------------
-// E14 — substitution factoring: answer-store cells and answer serving
-// ---------------------------------------------------------------------
-
-/// One configuration of the factoring experiment: a partially bound
-/// `path(1,X)` closure with the answer store factored or holding full
-/// tuples, under one table index.
-#[derive(Debug, Clone)]
-pub struct FactoringRow {
-    pub n: i64,
-    pub index: &'static str,
-    pub factored: bool,
-    /// answer-store cells actually held after the query
-    pub store_cells: u64,
-    /// `answer_cells_factored` counter (cells a factored store writes)
-    pub cells_factored: u64,
-    /// `answer_cells_full` counter (cells full tuples would occupy)
-    pub cells_full: u64,
-    /// `answer_cells_saved` counter (`full - factored`)
-    pub cells_saved: u64,
-    pub cold_secs: f64,
-    /// one warm repeat query served from the completed table
-    pub warm_secs: f64,
-    pub warm_answers_per_sec: f64,
-}
-
-/// Measures what substitution factoring buys on a partially bound call:
-/// `path(1, X)` over the Figure-5 cycle stores one binding cell per
-/// answer instead of the two-cell `(1, X)` tuple, and warm consumption
-/// binds answers straight out of the arena. Runs factored and unfactored
-/// stores under both table indexes.
-pub fn run_factoring(sizes: &[i64], warm_reps: usize) -> Vec<FactoringRow> {
-    use xsb_core::table::TableIndex;
-    use xsb_obs::Counter;
-    let mut out = Vec::new();
-    for &n in sizes {
-        let edges = cycle_edges(n);
-        let expected = n as usize;
-        for (index, index_name) in [(TableIndex::Hash, "hash"), (TableIndex::Trie, "trie")] {
-            for factored in [true, false] {
-                let mut e = configured_engine(index, factored, &edges);
-                let t0 = Instant::now();
-                assert_eq!(e.count("path(1, X)").unwrap(), expected);
-                let cold = secs(t0.elapsed());
-                let warm = secs(time_best(warm_reps, || {
-                    assert_eq!(e.count("path(1, X)").unwrap(), expected);
-                }));
-                let store_cells = e.tables.answer_store_cells();
-                let m = e.metrics();
-                out.push(FactoringRow {
-                    n,
-                    index: index_name,
-                    factored,
-                    store_cells,
-                    cells_factored: m.get(Counter::AnswerCellsFactored),
-                    cells_full: m.get(Counter::AnswerCellsFull),
-                    cells_saved: m.get(Counter::AnswerCellsSaved),
-                    cold_secs: cold,
-                    warm_secs: warm,
-                    warm_answers_per_sec: expected as f64 / warm.max(1e-9),
-                });
-            }
-        }
-    }
-    out
 }
 
 // ---------------------------------------------------------------------
@@ -1280,7 +1087,9 @@ mod concurrent_tests {
 
     #[test]
     fn concurrent_report_exercises_the_shared_store() {
-        let r = run_concurrent(96, &[1, 2], 4, 2, 2);
+        // sized so each phase is milliseconds of engine work in a debug
+        // build: the timed ratio below must not hinge on thread wake-ups
+        let r = run_concurrent(768, &[1, 2], 4, 4, 2);
         assert_eq!(r.rows.len(), 2);
         let two = &r.rows[1];
         assert!(two.shared_publishes >= 1, "tables reach the store: {r:?}");

@@ -79,7 +79,6 @@ pub enum Builtin {
     AbolishTablePred,
     AbolishTableCall,
     SetTableBudget,
-    SetAnswerFactoring,
     SetFusion,
     // durability (DESIGN.md §2.11)
     SetDurability,
@@ -182,7 +181,6 @@ impl Builtin {
             ("abolish_table_pred", 1, Builtin::AbolishTablePred),
             ("abolish_table_call", 1, Builtin::AbolishTableCall),
             ("set_table_budget", 1, Builtin::SetTableBudget),
-            ("set_answer_factoring", 1, Builtin::SetAnswerFactoring),
             ("set_fusion", 1, Builtin::SetFusion),
             ("set_durability", 1, Builtin::SetDurability),
             ("set_group_commit", 1, Builtin::SetGroupCommit),
@@ -392,21 +390,6 @@ pub fn exec_builtin(
             m.tables.set_budget(budget);
             if let Some(h) = m.tables.shared_handle() {
                 h.store.set_budget(budget);
-            }
-            Ok(BAction::Continue)
-        }
-        Builtin::SetAnswerFactoring => {
-            let v = m.deref(m.x[0]);
-            let name = (v.tag() == Tag::Con).then(|| syms.name(v.sym()).to_string());
-            match name.as_deref() {
-                Some("on") => m.tables.set_factored(true),
-                Some("off") => m.tables.set_factored(false),
-                _ => {
-                    return Err(EngineError::Type {
-                        expected: "'on' or 'off'",
-                        found: format!("{v:?}"),
-                    })
-                }
             }
             Ok(BAction::Continue)
         }
@@ -1085,7 +1068,7 @@ fn builtin_abolish_table_pred(m: &mut Machine, syms: &SymbolTable) -> Result<BAc
             syms.name(f)
         )));
     }
-    let removed = m.tables.abolish_pred(pred);
+    let removed = m.tables.invalidate_pred(pred);
     if removed > 0 {
         m.obs
             .metrics

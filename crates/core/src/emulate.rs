@@ -1379,11 +1379,6 @@ impl Machine<'_> {
             let f = self.tables.frame(sub);
             if cursor < f.store.len() {
                 let nvars = f.nvars as usize;
-                let template = if f.factored {
-                    None
-                } else {
-                    Some(f.canon.clone())
-                };
                 let (off, len) = f.store.span(cursor);
                 self.tables.consumers[cons as usize].cursor += 1;
                 // zero-copy answer return: take the frame's arena (and the
@@ -1394,10 +1389,7 @@ impl Machine<'_> {
                 let subst = std::mem::take(&mut self.tables.consumers[cons as usize].subst);
                 let mut tvars = std::mem::take(&mut self.scratch_tvars);
                 let ans = &cells[off as usize..(off + len) as usize];
-                let ok = match &template {
-                    None => self.bind_factored_answer(ans, &subst, nvars, &mut tvars),
-                    Some(t) => self.bind_unfactored_answer(t, ans, &subst, &mut tvars),
-                };
+                let ok = self.bind_factored_answer(ans, &subst, nvars, &mut tvars);
                 self.scratch_tvars = tvars;
                 self.tables.consumers[cons as usize].subst = subst;
                 self.tables.frame_mut(sub).store.put_cells(cells);
@@ -1481,35 +1473,6 @@ impl Machine<'_> {
         true
     }
 
-    /// Unfactored-baseline answer return: walks the call template and the
-    /// stored full argument tuple in lockstep — ground skeleton cells are
-    /// identical by construction and just skipped; at each variable
-    /// position the binding subterm is bound against `subst` like in
-    /// [`Machine::bind_factored_answer`].
-    fn bind_unfactored_answer(
-        &mut self,
-        template: &[Cell],
-        ans: &[Cell],
-        subst: &[u32],
-        tvars: &mut Vec<Option<Cell>>,
-    ) -> bool {
-        tvars.clear();
-        let mut a = 0usize;
-        for &c in template.iter() {
-            if c.tag() == Tag::TVar {
-                let k = c.tvar_index();
-                if !self.unify_canon_one(ans, &mut a, tvars, Cell::r#ref(subst[k] as usize)) {
-                    return false;
-                }
-            } else {
-                debug_assert_eq!(ans[a], c, "ground skeleton matches the template");
-                a += 1;
-            }
-        }
-        debug_assert_eq!(a, ans.len(), "answer tuple fully consumed");
-        true
-    }
-
     /// Restores the leader's completion context and continues its
     /// scheduling loop.
     fn return_to_leader(
@@ -1553,19 +1516,11 @@ impl Machine<'_> {
     fn completed_answer(&mut self, sub: u32, idx: usize, subst: &[u32]) -> bool {
         let f = self.tables.frame(sub);
         let nvars = f.nvars as usize;
-        let template = if f.factored {
-            None
-        } else {
-            Some(f.canon.clone())
-        };
         let (off, len) = f.store.span(idx);
         let cells = self.tables.frame_mut(sub).store.take_cells();
         let mut tvars = std::mem::take(&mut self.scratch_tvars);
         let ans = &cells[off as usize..(off + len) as usize];
-        let ok = match &template {
-            None => self.bind_factored_answer(ans, subst, nvars, &mut tvars),
-            Some(t) => self.bind_unfactored_answer(t, ans, subst, &mut tvars),
-        };
+        let ok = self.bind_factored_answer(ans, subst, nvars, &mut tvars);
         self.scratch_tvars = tvars;
         self.tables.frame_mut(sub).store.put_cells(cells);
         if ok {
@@ -1612,32 +1567,7 @@ impl Machine<'_> {
         self.scratch_roots = roots;
         self.scratch_vars = vs;
         // single walk: the duplicate probe and the insert share one pass
-        let is_new = if self.tables.frame(gen).factored {
-            self.tables.add_answer(gen, &canon)
-        } else {
-            // baseline mode: expand back to the full argument tuple by
-            // splicing each binding at its template positions (template
-            // variables are numbered in first-occurrence order, so the
-            // expansion stays canonical)
-            let nvars = self.tables.frame(gen).nvars as usize;
-            let template = self.tables.frame(gen).canon.clone();
-            let mut spans = std::mem::take(&mut self.scratch_spans);
-            crate::table::canon_root_spans(&canon, nvars, &mut spans);
-            let mut full = std::mem::take(&mut self.scratch_full);
-            full.clear();
-            for &c in template.iter() {
-                if c.tag() == Tag::TVar {
-                    let (o, l) = spans[c.tvar_index()];
-                    full.extend_from_slice(&canon[o as usize..(o + l) as usize]);
-                } else {
-                    full.push(c);
-                }
-            }
-            let r = self.tables.add_answer(gen, &full);
-            self.scratch_spans = spans;
-            self.scratch_full = full;
-            r
-        };
+        let is_new = self.tables.add_answer(gen, &canon);
         if !is_new {
             self.scratch_canon = canon;
             self.obs.metrics.bump(Counter::DuplicateAnswers);
@@ -1648,33 +1578,11 @@ impl Machine<'_> {
             }
             return Ok(Disp::Failed);
         }
-        // cell accounting: what factoring stores vs. what the same answer
-        // costs as a full argument tuple (skeleton re-expanded at every
-        // variable occurrence)
-        let factored_cells = canon.len() as u64;
-        let full_cells = {
-            let mut spans = std::mem::take(&mut self.scratch_spans);
-            let nvars = self.tables.frame(gen).nvars as usize;
-            crate::table::canon_root_spans(&canon, nvars, &mut spans);
-            let f = self.tables.frame(gen);
-            let total = f.ground_cells as u64
-                + f.var_occ
-                    .iter()
-                    .zip(spans.iter())
-                    .map(|(&occ, &(_, l))| occ as u64 * l as u64)
-                    .sum::<u64>();
-            self.scratch_spans = spans;
-            total
-        };
-        self.scratch_canon = canon;
         self.obs.metrics.bump(Counter::AnswersRecorded);
         self.obs
             .metrics
-            .add(Counter::AnswerCellsFactored, factored_cells);
-        self.obs.metrics.add(Counter::AnswerCellsFull, full_cells);
-        self.obs
-            .metrics
-            .add(Counter::AnswerCellsSaved, full_cells - factored_cells);
+            .add(Counter::AnswerCellsFactored, canon.len() as u64);
+        self.scratch_canon = canon;
         if self.obs.trace.enabled {
             let answer = self.tables.frame(gen).store.len() as u32 - 1;
             self.obs.trace.push(SlgEvent::NewAnswer {
@@ -1937,8 +1845,6 @@ impl Machine<'_> {
     /// of collected copies with `result`.
     fn tfindall_list(&mut self, sub: u32, subst: &[u32], template: Cell, result: Cell) -> bool {
         let nvars = self.tables.frame(sub).nvars as usize;
-        let factored = self.tables.frame(sub).factored;
-        let call_canon = self.tables.frame(sub).canon.clone();
         let n = self.tables.frame(sub).store.len();
         let mut collected: Vec<Box<[Cell]>> = Vec::with_capacity(n);
         let mut tvars = std::mem::take(&mut self.scratch_tvars);
@@ -1947,11 +1853,7 @@ impl Machine<'_> {
             let (off, len) = self.tables.frame(sub).store.span(idx);
             let cells = self.tables.frame_mut(sub).store.take_cells();
             let ans = &cells[off as usize..(off + len) as usize];
-            let ok = if factored {
-                self.bind_factored_answer(ans, subst, nvars, &mut tvars)
-            } else {
-                self.bind_unfactored_answer(&call_canon, ans, subst, &mut tvars)
-            };
+            let ok = self.bind_factored_answer(ans, subst, nvars, &mut tvars);
             self.tables.frame_mut(sub).store.put_cells(cells);
             if ok {
                 let mut vs = Vec::new();

@@ -653,7 +653,7 @@ impl Engine {
         let Some(pred) = self.db.lookup_pred(s, arity) else {
             return 0;
         };
-        let n = self.tables.abolish_pred(pred);
+        let n = self.tables.invalidate_pred(pred);
         if n > 0 {
             self.obs.metrics.add(Counter::TableInvalidations, n as u64);
             if self.obs.trace.enabled {
@@ -681,20 +681,6 @@ impl Engine {
         if let Some(h) = self.tables.shared_handle() {
             h.store.set_budget(cells);
         }
-    }
-
-    /// Switches the table-space index representation (paper §4.5: hash
-    /// indexes, or the in-development trie indexing integrated with answer
-    /// storage). Clears existing tables; keeps the memory budget and the
-    /// pool-shared store connection.
-    pub fn set_table_index(&mut self, index: crate::table::TableIndex) {
-        let budget = self.tables.budget();
-        let factored = self.tables.factored();
-        let shared = self.tables.take_shared();
-        self.tables = TableSpace::with_index(index);
-        self.tables.set_budget(budget);
-        self.tables.set_factored(factored);
-        self.tables.restore_shared(shared);
     }
 
     /// Connects this engine to a pool-wide shared table store. The
@@ -1016,15 +1002,6 @@ impl Engine {
     /// `(before, after)`.
     pub fn checkpoint(&mut self) -> Result<(u64, u64), EngineError> {
         crate::durable::checkpoint(&mut self.db, &self.syms, &mut self.obs.metrics)
-    }
-
-    /// Switches substitution factoring for *new* tables: `true` (the
-    /// default) stores answers as bindings of the call's distinct
-    /// variables; `false` stores full argument tuples (the paper's
-    /// pre-factoring baseline, kept for the `factoring` ablation). Frames
-    /// already created keep the representation they were built with.
-    pub fn set_answer_factoring(&mut self, on: bool) {
-        self.tables.set_factored(on);
     }
 
     // ------------------------------------------------------------------

@@ -37,12 +37,12 @@
 //! table — one compute pool-wide instead of N, with a bounded wait and
 //! local-compute fallback so a stuck claimant can never wedge the pool.
 
-use crate::durable::{werr, DurableLog, Record};
+use crate::durable::{note_ack, werr, Ack, DurableLog, Record};
 use crate::engine::{Engine, Solution};
 use crate::error::EngineError;
 use crate::shared::SharedTableStore;
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 use xsb_obs::{Metrics, Stopwatch};
@@ -181,6 +181,10 @@ pub struct ServerPool {
     inflight: Arc<std::sync::atomic::AtomicUsize>,
     /// admission bound on `inflight` (None = unbounded)
     queue_depth: Option<usize>,
+    /// WAL traffic the pool itself generates (`new_durable`'s `Program`
+    /// record and `consult_all`'s `Broadcast` records), which no worker
+    /// engine sees; folded into [`ServerPool::metrics`]
+    wal_metrics: Mutex<Metrics>,
 }
 
 /// A pending result from [`ServerPool::submit`] / [`ServerPool::submit_count`].
@@ -224,15 +228,19 @@ impl ServerPool {
                 "durable log already holds a program; use ServerPool::reopen".into(),
             ));
         }
-        log.append_record(
-            &Record::Program {
-                text: program.to_string(),
-            },
-            &SymbolTable::new(),
-            true,
-        )
-        .map_err(werr)?;
-        Self::build(None, config, Some(log))
+        let sw = Stopwatch::new();
+        let ack = log
+            .append_record(
+                &Record::Program {
+                    text: program.to_string(),
+                },
+                &SymbolTable::new(),
+                true,
+            )
+            .map_err(werr)?;
+        let pool = Self::build(None, config, Some(log))?;
+        pool.note_wal_commit(&ack, sw);
+        Ok(pool)
     }
 
     /// Reopens a durable pool from the WAL at `path`: each worker
@@ -425,7 +433,14 @@ impl ServerPool {
             next: std::sync::atomic::AtomicUsize::new(0),
             inflight,
             queue_depth: config.queue_depth,
+            wal_metrics: Mutex::new(Metrics::default()),
         })
+    }
+
+    /// Counts one pool-level commit-point append in `wal_metrics`.
+    fn note_wal_commit(&self, ack: &Ack, sw: Stopwatch) {
+        let mut m = self.wal_metrics.lock().expect("no panic under this lock");
+        note_ack(&mut m, ack, Some(sw));
     }
 
     /// The pool's durable log, if it was built with one.
@@ -547,14 +562,17 @@ impl ServerPool {
         // per-worker consult legs run with per-mutation logging
         // suspended (see `Engine::consult_broadcast`)
         if let Some(log) = &self.log {
-            log.append_record(
-                &Record::Broadcast {
-                    text: src.to_string(),
-                },
-                &SymbolTable::new(),
-                true,
-            )
-            .map_err(werr)?;
+            let sw = Stopwatch::new();
+            let ack = log
+                .append_record(
+                    &Record::Broadcast {
+                        text: src.to_string(),
+                    },
+                    &SymbolTable::new(),
+                    true,
+                )
+                .map_err(werr)?;
+            self.note_wal_commit(&ack, sw);
         }
         let mut pending = Vec::with_capacity(self.workers.len());
         for w in &self.workers {
@@ -585,7 +603,11 @@ impl ServerPool {
             let _ = w.tx.send(Job::Metrics(reply));
             pending.push(rx);
         }
-        let mut total = Metrics::default();
+        let mut total = self
+            .wal_metrics
+            .lock()
+            .expect("no panic under this lock")
+            .clone();
         for rx in pending {
             if let Ok(m) = rx.recv() {
                 total.merge(&m);
@@ -802,6 +824,31 @@ mod tests {
         for w in 0..2 {
             assert_eq!(p.submit_count("extra(X)", Some(w)).wait().unwrap(), 2);
         }
+    }
+
+    #[test]
+    fn pool_metrics_count_consult_all_wal_traffic() {
+        use xsb_obs::Counter;
+        const N: u64 = 5;
+        let log = Arc::new(DurableLog::open(Box::new(xsb_storage::MemVfs::new())).unwrap());
+        assert_eq!(log.group_window_us(), 0, "every commit point fsyncs");
+        let durable = ServerPool::new_durable(PATH, PoolConfig::default(), log).unwrap();
+        let plain = pool(2);
+        let m = durable.metrics();
+        assert_eq!(m.get(Counter::WalAppends), 1, "the Program record");
+        assert_eq!(m.get(Counter::WalFsyncs), 1);
+        for i in 0..N {
+            let fact = format!("extra({i}).");
+            durable.consult_all(&fact).unwrap();
+            plain.consult_all(&fact).unwrap();
+        }
+        let m = durable.metrics();
+        assert_eq!(m.get(Counter::WalAppends), 1 + N, "one Broadcast per call");
+        assert_eq!(m.get(Counter::WalFsyncs), 1 + N, "one fsync per commit");
+        assert_eq!(m.commit_latency.count(), 1 + N, "each is a commit point");
+        let m = plain.metrics();
+        assert_eq!(m.get(Counter::WalAppends), 0);
+        assert_eq!(m.get(Counter::WalFsyncs), 0);
     }
 
     #[test]

@@ -41,7 +41,6 @@ pub mod objfile;
 pub mod program;
 pub mod shared;
 pub mod table;
-pub mod table_trie;
 
 pub use durable::{DurableLog, RecoveryReport};
 pub use engine::{Engine, Solution};

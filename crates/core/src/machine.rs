@@ -207,10 +207,6 @@ pub struct Machine<'p> {
     pub(crate) scratch_roots: Vec<Cell>,
     /// reusable var-address buffer for `new_answer` canonicalization
     pub(crate) scratch_vars: Vec<u32>,
-    /// reusable buffer for expanding a factored answer into a full tuple
-    /// (unfactored-store baseline) and for its root spans
-    pub(crate) scratch_full: Vec<Cell>,
-    pub(crate) scratch_spans: Vec<(u32, u32)>,
 }
 
 impl<'p> Machine<'p> {
@@ -248,8 +244,6 @@ impl<'p> Machine<'p> {
             scratch_tvars: Vec::new(),
             scratch_roots: Vec::new(),
             scratch_vars: Vec::new(),
-            scratch_full: Vec::new(),
-            scratch_spans: Vec::new(),
         }
     }
 

@@ -61,13 +61,7 @@ pub struct SharedFrame {
     pub canon: Arc<[Cell]>,
     /// number of distinct variables in the call
     pub nvars: u32,
-    /// whether `cells` holds factored bindings or full tuples
-    pub factored: bool,
-    /// non-variable cells in `canon` (full-size accounting)
-    pub ground_cells: u32,
-    /// occurrences of each distinct call variable in `canon`
-    pub var_occ: Vec<u32>,
-    /// the frozen answer arena
+    /// the frozen answer arena (substitution-factored bindings)
     pub cells: Arc<[Cell]>,
     /// `(offset, len)` of each answer in `cells`
     pub spans: Vec<(u32, u32)>,
@@ -78,14 +72,10 @@ pub struct SharedFrame {
 }
 
 impl SharedFrame {
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         pred: PredId,
         canon: Arc<[Cell]>,
         nvars: u32,
-        factored: bool,
-        ground_cells: u32,
-        var_occ: Vec<u32>,
         cells: Arc<[Cell]>,
         spans: Vec<(u32, u32)>,
         epoch: u64,
@@ -94,9 +84,6 @@ impl SharedFrame {
             pred,
             canon,
             nvars,
-            factored,
-            ground_cells,
-            var_occ,
             cells,
             spans,
             epoch,
@@ -608,9 +595,6 @@ mod tests {
             pred,
             Arc::from(key),
             1,
-            true,
-            0,
-            vec![1],
             Arc::from(cells),
             cells
                 .iter()

@@ -17,9 +17,7 @@
 //! answer costs one `extend_from_slice` and no per-answer allocation.
 //!
 //! Subgoal lookup is a hash on the canonical call; answer lookup hashes
-//! the factored sequence — the two table indexes §4.5 describes (or, with
-//! [`TableIndex::Trie`], the in-development trie index integrated with
-//! the storage).
+//! the factored sequence — the two table indexes §4.5 describes.
 
 use crate::cell::{Cell, Tag};
 use crate::instr::{CodePtr, PredId};
@@ -27,23 +25,11 @@ use crate::machine::{Freeze, NONE};
 use crate::shared::{
     cells_below_sym_floor, ClaimOutcome, SharedFrame, SharedTableStore, SyncAction,
 };
-use crate::table_trie::TermTrie;
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Instant;
 use xsb_syntax::sym::SymbolTable;
-
-/// How subgoal and answer tables are indexed. `Hash` is XSB v1.3's design
-/// (§4.5: hash on the canonical call; hash on all answer arguments);
-/// `Trie` is the paper's in-development trie indexing, where the index is
-/// integrated with the storage (see [`crate::table_trie`]).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum TableIndex {
-    #[default]
-    Hash,
-    Trie,
-}
 
 pub type SubgoalId = u32;
 
@@ -77,15 +63,13 @@ impl std::ops::Deref for Arena {
 
 /// Bump-arena answer store (substitution factoring). Every answer's
 /// canonical cells live in one contiguous vector; each answer is an
-/// `(offset, len)` span into it. Duplicate detection in hash-index mode
-/// is a sequence-hash index over the spans; in trie mode the frame's
-/// `answer_trie` discovers duplicates on its insertion walk and the arena
-/// only keeps derivation order.
+/// `(offset, len)` span into it. Duplicate detection is a sequence-hash
+/// index over the spans.
 #[derive(Debug, Default)]
 pub struct AnswerStore {
     cells: Arena,
     spans: Vec<(u32, u32)>,
-    /// sequence hash → answer ids with that hash (hash-index mode only)
+    /// sequence hash → answer ids with that hash
     index: HashMap<u64, Vec<u32>>,
 }
 
@@ -130,10 +114,10 @@ impl AnswerStore {
         }
     }
 
-    /// Appends an answer known to be new (trie mode and the ground fast
-    /// path, where duplicate detection happened elsewhere). Only tables
-    /// this engine is computing receive answers; shared-backed arenas are
-    /// complete by construction.
+    /// Appends an answer known to be new (the ground fast path, and
+    /// `insert_if_new` after its probe). Only tables this engine is
+    /// computing receive answers; shared-backed arenas are complete by
+    /// construction.
     fn push_unchecked(&mut self, seq: &[Cell]) {
         let Arena::Local(cells) = &mut self.cells else {
             unreachable!("shared-backed stores are complete and never receive answers");
@@ -161,7 +145,7 @@ impl AnswerStore {
         true
     }
 
-    /// Arena cells held (the budget accounting unit in hash-index mode).
+    /// Arena cells held (the budget accounting unit).
     pub fn cells_len(&self) -> u64 {
         self.cells.len() as u64
     }
@@ -228,15 +212,6 @@ pub struct SubgoalFrame {
     /// answers in derivation order, substitution factored: each entry is
     /// the canonical bindings of the call's distinct variables only
     pub store: AnswerStore,
-    /// whether this frame's answers are substitution factored (recorded
-    /// at creation; the unfactored store is the bench baseline)
-    pub factored: bool,
-    /// non-variable cells in `canon` — the ground skeleton a full answer
-    /// tuple would repeat (full-size accounting)
-    pub ground_cells: u32,
-    /// occurrences of each distinct call variable in `canon` (len ==
-    /// `nvars`; repeated variables make factoring save even more)
-    pub var_occ: Vec<u32>,
     pub state: SubgoalState,
     pub mode: GenMode,
     /// generator's substitution factor: heap addresses of the call's
@@ -274,9 +249,6 @@ pub struct SubgoalFrame {
     /// suspensions queued for scheduling after this (leader) subgoal's SCC
     /// completed; drained by the generator choice point's handler
     pub pending_negs: Vec<u32>,
-    /// trie-integrated answer store (when [`TableIndex::Trie`] is active);
-    /// `answer_set` stays empty in that mode
-    pub answer_trie: Option<TermTrie>,
 }
 
 impl SubgoalFrame {
@@ -330,24 +302,15 @@ pub struct NegSusp {
 
 /// The global table space. Completed tables persist across queries;
 /// consumers, suspensions and the completion stack are per-query.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct TableSpace {
     pub subgoals: Vec<SubgoalFrame>,
     lookup: HashMap<PredId, HashMap<Arc<[Cell]>, SubgoalId>>,
-    /// per-predicate subgoal tries (when `index == Trie`); the vector maps
-    /// trie entry ids to subgoal ids (refreshed when a freed table's
-    /// variant is re-created)
-    subgoal_tries: HashMap<PredId, (TermTrie, Vec<SubgoalId>)>,
     pub consumers: Vec<Consumer>,
     pub negs: Vec<NegSusp>,
     /// incomplete generators, oldest first (DFN order)
     pub completion_stack: Vec<SubgoalId>,
     dfn_counter: u32,
-    pub index: TableIndex,
-    /// whether new frames store answers substitution factored (the
-    /// default) or as full argument tuples (the E14 bench baseline);
-    /// existing frames keep the mode they were created with
-    factored: bool,
     /// frames invalidated while still incomplete: the running query keeps
     /// its call-time view (logical-update semantics); the frames are freed
     /// at [`TableSpace::end_query`] so the *next* query recomputes them
@@ -419,68 +382,19 @@ pub enum SharedClaim {
     TimedOut { parked: bool, waited_ns: u64 },
 }
 
-impl Default for TableSpace {
-    fn default() -> Self {
-        TableSpace {
-            subgoals: Vec::new(),
-            lookup: HashMap::new(),
-            subgoal_tries: HashMap::new(),
-            consumers: Vec::new(),
-            negs: Vec::new(),
-            completion_stack: Vec::new(),
-            dfn_counter: 0,
-            index: TableIndex::default(),
-            factored: true,
-            pending_invalidation: Vec::new(),
-            budget_cells: None,
-            clock: 0,
-            shared: None,
-        }
-    }
-}
-
 impl TableSpace {
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// A table space using the given index representation.
-    pub fn with_index(index: TableIndex) -> Self {
-        TableSpace {
-            index,
-            ..Self::default()
-        }
-    }
-
-    /// Switches the answer representation for frames created from now on:
-    /// `true` (the default) stores substitution-factored answers; `false`
-    /// stores full argument tuples — the unfactored baseline the E14
-    /// bench measures against. Existing frames are unaffected (each frame
-    /// records its own mode, so answer return always matches the store).
-    pub fn set_factored(&mut self, factored: bool) {
-        self.factored = factored;
-    }
-
-    pub fn factored(&self) -> bool {
-        self.factored
-    }
-
     /// Finds an existing (non-deleted) table for this variant call.
     /// (`Rc<[Cell]>: Borrow<[Cell]>`, so no allocation per probe.)
     pub fn find(&self, pred: PredId, canon: &[Cell]) -> Option<SubgoalId> {
-        match self.index {
-            TableIndex::Hash => self
-                .lookup
-                .get(&pred)
-                .and_then(|m| m.get(canon))
-                .copied()
-                .filter(|&id| !self.subgoals[id as usize].deleted),
-            TableIndex::Trie => self
-                .subgoal_tries
-                .get(&pred)
-                .and_then(|(t, ids)| t.find(canon).map(|tid| ids[tid as usize]))
-                .filter(|&id| !self.subgoals[id as usize].deleted),
-        }
+        self.lookup
+            .get(&pred)
+            .and_then(|m| m.get(canon))
+            .copied()
+            .filter(|&id| !self.subgoals[id as usize].deleted)
     }
 
     /// Creates a new subgoal table (generator side) and pushes it on the
@@ -500,30 +414,11 @@ impl TableSpace {
         self.dfn_counter += 1;
         let dfn = self.dfn_counter;
         let compl_pos = self.completion_stack.len() as u32;
-        // derive the call template statistics: the ground skeleton size
-        // and each distinct variable's occurrence count, which together
-        // give the full-tuple size a factored answer avoids storing
-        let mut var_occ = vec![0u32; subst.len()];
-        let mut ground_cells = 0u32;
-        for c in canon.iter() {
-            if c.tag() == Tag::TVar {
-                let k = c.tvar_index();
-                if k >= var_occ.len() {
-                    var_occ.resize(k + 1, 0);
-                }
-                var_occ[k] += 1;
-            } else {
-                ground_cells += 1;
-            }
-        }
         self.subgoals.push(SubgoalFrame {
             pred,
             canon: canon.clone(),
             nvars: subst.len() as u32,
             store: AnswerStore::default(),
-            factored: self.factored,
-            ground_cells,
-            var_occ,
             state: SubgoalState::Incomplete,
             mode,
             subst,
@@ -541,27 +436,8 @@ impl TableSpace {
             born: self.clock,
             last_hit: self.clock,
             pending_negs: Vec::new(),
-            answer_trie: matches!(self.index, TableIndex::Trie).then(TermTrie::new),
         });
-        match self.index {
-            TableIndex::Hash => {
-                self.lookup.entry(pred).or_default().insert(canon, id);
-            }
-            TableIndex::Trie => {
-                let (trie, ids) = self
-                    .subgoal_tries
-                    .entry(pred)
-                    .or_insert_with(|| (TermTrie::new(), Vec::new()));
-                let (tid, fresh) = trie.insert(&canon);
-                if fresh {
-                    debug_assert_eq!(tid as usize, ids.len());
-                    ids.push(id);
-                } else {
-                    // a freed table's variant re-created: remap the entry
-                    ids[tid as usize] = id;
-                }
-            }
-        }
+        self.lookup.entry(pred).or_default().insert(canon, id);
         self.completion_stack.push(id);
         id
     }
@@ -571,7 +447,7 @@ impl TableSpace {
     /// is copied into the frame's arena only when genuinely new, so
     /// duplicates (the common case on recursive workloads) allocate
     /// nothing. A ground call's empty sequence is the O(1) boolean fast
-    /// path: no hashing, no trie walk, zero cells stored.
+    /// path: no hashing, zero cells stored.
     pub fn add_answer(&mut self, sub: SubgoalId, seq: &[Cell]) -> bool {
         let f = &mut self.subgoals[sub as usize];
         if seq.is_empty() {
@@ -582,13 +458,6 @@ impl TableSpace {
             } else {
                 false
             }
-        } else if let Some(trie) = &mut f.answer_trie {
-            // the duplicate check and the store are the same trie walk
-            let (_, fresh) = trie.insert(seq);
-            if fresh {
-                f.store.push_unchecked(seq);
-            }
-            fresh
         } else {
             f.store.insert_if_new(seq)
         }
@@ -599,11 +468,9 @@ impl TableSpace {
     pub fn has_answer(&self, sub: SubgoalId, seq: &[Cell]) -> bool {
         let f = &self.subgoals[sub as usize];
         if seq.is_empty() {
-            return !f.store.is_empty();
-        }
-        match &f.answer_trie {
-            Some(trie) => trie.find(seq).is_some(),
-            None => f.store.contains(seq),
+            !f.store.is_empty()
+        } else {
+            f.store.contains(seq)
         }
     }
 
@@ -691,8 +558,6 @@ impl TableSpace {
                 if let Some(m) = self.lookup.get_mut(&f.pred) {
                     m.remove(&f.canon);
                 }
-                // trie mode: `find` filters on `deleted`, and re-creation
-                // remaps the trie entry, so no trie surgery is needed
             }
         }
         self.completion_stack.truncate(pos);
@@ -716,10 +581,9 @@ impl TableSpace {
     }
 
     /// Hides a frame from future calls: marks it deleted and unlinks it
-    /// from the hash subgoal index. The answer store is NOT released —
+    /// from the subgoal index. The answer store is NOT released —
     /// in-flight choice points (`Alt::CompletedAnswers`) may still be
-    /// iterating it. Trie-mode call entries need no surgery: `find`
-    /// filters on `deleted` and re-creation remaps the trie entry.
+    /// iterating it.
     fn unlink_frame(&mut self, id: SubgoalId) {
         let (pred, canon) = {
             let f = &mut self.subgoals[id as usize];
@@ -740,9 +604,7 @@ impl TableSpace {
     fn free_frame_memory(&mut self, id: SubgoalId) {
         let f = &mut self.subgoals[id as usize];
         f.store = AnswerStore::default();
-        f.answer_trie = None;
         f.subst = Vec::new();
-        f.var_occ = Vec::new();
     }
 
     /// Fully frees one frame: unlink + release memory. Only safe between
@@ -770,31 +632,17 @@ impl TableSpace {
         true
     }
 
-    /// Invalidates every table of predicate `pred` (because a dynamic
-    /// predicate it depends on changed). Completed tables are hidden
-    /// immediately (new calls recompute); incomplete ones keep serving the
-    /// running query; both release memory at `end_query`. Returns the
-    /// number of frames invalidated.
+    /// Invalidates every table of predicate `pred` (a dynamic predicate it
+    /// depends on changed, or `abolish_table_pred/1`). Completed tables are
+    /// hidden immediately (new calls recompute); incomplete ones keep
+    /// serving the running query; both release memory at `end_query`.
+    /// Returns the number of frames invalidated.
     pub fn invalidate_pred(&mut self, pred: PredId) -> usize {
         let mut n = 0;
         for id in 0..self.subgoals.len() as SubgoalId {
             if self.subgoals[id as usize].pred == pred && self.invalidate_frame(id) {
                 n += 1;
             }
-        }
-        n
-    }
-
-    /// Selectively abolishes every table of predicate `pred` (the
-    /// `abolish_table_pred/1` builtin). Beyond [`TableSpace::invalidate_pred`],
-    /// this also drops the predicate's whole subgoal trie once no live
-    /// frame remains, so trie mode holds no dangling entries that could
-    /// outlive the deleted frames.
-    pub fn abolish_pred(&mut self, pred: PredId) -> usize {
-        let n = self.invalidate_pred(pred);
-        let any_live = self.subgoals.iter().any(|f| f.pred == pred && !f.deleted);
-        if !any_live {
-            self.subgoal_tries.remove(&pred);
         }
         n
     }
@@ -825,19 +673,6 @@ impl TableSpace {
         self.budget_cells = cells;
     }
 
-    pub fn budget(&self) -> Option<u64> {
-        self.budget_cells
-    }
-
-    /// Answer-store cells held by one frame: the trie's shared-prefix
-    /// total in trie mode, else the flat arena length.
-    fn frame_cells(f: &SubgoalFrame) -> u64 {
-        match &f.answer_trie {
-            Some(t) => t.stored_cells(),
-            None => f.store.cells_len(),
-        }
-    }
-
     /// Evicts completed tables, least-recently-hit first (ties broken by
     /// age, oldest first), until the answer store fits the budget. Returns
     /// the evicted subgoal ids so the caller can record metrics.
@@ -854,7 +689,7 @@ impl TableSpace {
             .iter()
             .enumerate()
             .filter(|(_, f)| !f.deleted && f.state == SubgoalState::Complete)
-            .map(|(id, f)| (f.last_hit, id as SubgoalId, Self::frame_cells(f)))
+            .map(|(id, f)| (f.last_hit, id as SubgoalId, f.store.cells_len()))
             .collect();
         candidates.sort_unstable();
         let mut evicted = Vec::new();
@@ -901,7 +736,6 @@ impl TableSpace {
     pub fn abolish_all(&mut self) {
         self.subgoals.clear();
         self.lookup.clear();
-        self.subgoal_tries.clear();
         self.consumers.clear();
         self.negs.clear();
         self.completion_stack.clear();
@@ -909,10 +743,9 @@ impl TableSpace {
         self.pending_invalidation.clear();
     }
 
-    /// Total cells held by the answer stores — tries share prefixes, so in
-    /// trie mode this is at most (and usually below) the flat total.
+    /// Total cells held by the answer stores.
     pub fn answer_store_cells(&self) -> u64 {
-        self.subgoals.iter().map(Self::frame_cells).sum()
+        self.subgoals.iter().map(|f| f.store.cells_len()).sum()
     }
 
     /// Number of live (non-deleted) tables.
@@ -947,16 +780,6 @@ impl TableSpace {
 
     pub fn shared_handle(&self) -> Option<&SharedHandle> {
         self.shared.as_ref()
-    }
-
-    /// Detaches the shared handle (for table-space rebuilds that must
-    /// carry it over); pair with [`TableSpace::restore_shared`].
-    pub fn take_shared(&mut self) -> Option<SharedHandle> {
-        self.shared.take()
-    }
-
-    pub fn restore_shared(&mut self, h: Option<SharedHandle>) {
-        self.shared = h;
     }
 
     /// Probes the pool store for a completed table of this variant call.
@@ -1059,9 +882,6 @@ impl TableSpace {
             canon: sf.canon.clone(),
             nvars: sf.nvars,
             store: AnswerStore::from_shared(sf.cells.clone(), sf.spans.clone()),
-            factored: sf.factored,
-            ground_cells: sf.ground_cells,
-            var_occ: sf.var_occ.clone(),
             state: SubgoalState::Complete,
             mode: GenMode::Positive,
             subst: Vec::new(),
@@ -1079,40 +899,21 @@ impl TableSpace {
             born: self.clock,
             last_hit: self.clock,
             pending_negs: Vec::new(),
-            answer_trie: None,
         });
-        match self.index {
-            TableIndex::Hash => {
-                self.lookup
-                    .entry(sf.pred)
-                    .or_default()
-                    .insert(sf.canon.clone(), id);
-            }
-            TableIndex::Trie => {
-                let (trie, ids) = self
-                    .subgoal_tries
-                    .entry(sf.pred)
-                    .or_insert_with(|| (TermTrie::new(), Vec::new()));
-                let (tid, fresh) = trie.insert(&sf.canon);
-                if fresh {
-                    debug_assert_eq!(tid as usize, ids.len());
-                    ids.push(id);
-                } else {
-                    ids[tid as usize] = id;
-                }
-            }
-        }
+        self.lookup
+            .entry(sf.pred)
+            .or_default()
+            .insert(sf.canon.clone(), id);
         id
     }
 
     /// Publishes this engine's freshly completed tables into the pool
     /// store (call between queries, after `end_query`). A frame is
-    /// publishable when it is live, complete, hash-indexed (trie arenas
-    /// keep derivation state in a worker-local trie), still locally
-    /// backed, and entirely below the attach floors. The first worker to
-    /// publish a variant wins; publishes computed under a superseded
-    /// store epoch are rejected and simply retried after the next sync
-    /// confirms the frame survived the invalidation. Frames are stamped
+    /// publishable when it is live, complete, still locally backed, and
+    /// entirely below the attach floors. The first worker to publish a
+    /// variant wins; publishes computed under a superseded store epoch
+    /// are rejected and simply retried after the next sync confirms the
+    /// frame survived the invalidation. Frames are stamped
     /// with the epoch observed at *query start* — a mid-query
     /// invalidation (even this worker's own) moves the store past that
     /// stamp, so nothing computed astride an update can slip in at the
@@ -1138,7 +939,6 @@ impl TableSpace {
         for f in &mut self.subgoals {
             if f.deleted
                 || f.state != SubgoalState::Complete
-                || f.answer_trie.is_some()
                 || f.pred >= h.pred_floor
                 || matches!(f.store.cells, Arena::Shared(_))
                 || !cells_below_sym_floor(&f.canon, h.sym_floor)
@@ -1154,9 +954,6 @@ impl TableSpace {
                 f.pred,
                 f.canon.clone(),
                 f.nvars,
-                f.factored,
-                f.ground_cells,
-                f.var_occ.clone(),
                 cells.clone(),
                 f.store.spans.clone(),
                 h.query_epoch,
@@ -1380,10 +1177,7 @@ pub fn canon_root_spans(seq: &[Cell], count: usize, out: &mut Vec<(u32, u32)>) {
 
 /// Renders one *factored* answer back into full call form: the frame's
 /// canonical call template with every variable position replaced by its
-/// binding from the factored sequence. This is what the answer *means*
-/// (and what an unfactored store would hold verbatim) — rendering
-/// re-expands it so listings and traces look identical under both
-/// representations.
+/// binding from the factored sequence — what the answer *means*.
 pub fn format_answer(
     template: &[Cell],
     answer: &[Cell],
@@ -1445,16 +1239,13 @@ fn format_answer_at(
 }
 
 /// One line per answer of a subgoal frame, rendered in full call form
-/// regardless of the stored representation (factored answers are
-/// re-expanded through the call template; the ground call's boolean
-/// answer prints as `yes`).
+/// (factored answers are re-expanded through the call template; the ground
+/// call's boolean answer prints as `yes`).
 pub fn answer_listing(f: &SubgoalFrame, syms: &SymbolTable) -> String {
     let mut out = String::new();
     for i in 0..f.store.len() {
         let ans = f.store.get(i);
-        let line = if !f.factored {
-            format_canon(ans, syms)
-        } else if f.nvars == 0 {
+        let line = if f.nvars == 0 {
             "yes".to_string()
         } else {
             format_answer(&f.canon, ans, f.nvars as usize, syms)
@@ -1552,56 +1343,16 @@ mod tests {
 
     #[test]
     fn ground_call_boolean_answer_fast_path() {
-        for index in [TableIndex::Hash, TableIndex::Trie] {
-            let mut ts = TableSpace::with_index(index);
-            let id = mk(&mut ts, 0, &[Cell::int(1), Cell::int(2)]);
-            assert!(!ts.has_answer(id, &[]));
-            assert!(ts.add_answer(id, &[]), "first (empty) answer is new");
-            assert!(!ts.add_answer(id, &[]), "a ground call has one answer");
-            assert!(ts.has_answer(id, &[]));
-            assert!(ts.frame(id).has_answers());
-            assert_eq!(ts.frame(id).store.len(), 1);
-            assert_eq!(ts.frame(id).store.get(0), &[] as &[Cell]);
-            assert_eq!(ts.answer_store_cells(), 0, "boolean answers are free");
-        }
-    }
-
-    #[test]
-    fn template_stats_derived_at_creation() {
         let mut ts = TableSpace::new();
-        // p(f(X, a), X, Y): vars X (twice), Y; ground cells f/2 and a
-        let key = [
-            Cell::fun(xsb_syntax::Sym(9), 2),
-            Cell::tvar(0),
-            Cell::con(xsb_syntax::Sym(3)),
-            Cell::tvar(0),
-            Cell::tvar(1),
-        ];
-        let id = ts.new_subgoal(
-            7,
-            canon(&key),
-            vec![100, 101], // two distinct variables
-            Rc::from(&[][..]),
-            GenMode::Positive,
-            Freeze::default(),
-            NONE,
-        );
-        let f = ts.frame(id);
-        assert_eq!(f.ground_cells, 2);
-        assert_eq!(f.var_occ, vec![2, 1]);
-        assert!(f.factored);
-    }
-
-    #[test]
-    fn unfactored_mode_marks_new_frames_only() {
-        let mut ts = TableSpace::new();
-        let a = mk(&mut ts, 0, &[Cell::tvar(0)]);
-        ts.set_factored(false);
-        let b = mk(&mut ts, 0, &[Cell::int(1), Cell::tvar(0)]);
-        assert!(ts.frame(a).factored, "existing frame keeps its mode");
-        assert!(!ts.frame(b).factored);
-        ts.set_factored(true);
-        assert!(!ts.frame(b).factored);
+        let id = mk(&mut ts, 0, &[Cell::int(1), Cell::int(2)]);
+        assert!(!ts.has_answer(id, &[]));
+        assert!(ts.add_answer(id, &[]), "first (empty) answer is new");
+        assert!(!ts.add_answer(id, &[]), "a ground call has one answer");
+        assert!(ts.has_answer(id, &[]));
+        assert!(ts.frame(id).has_answers());
+        assert_eq!(ts.frame(id).store.len(), 1);
+        assert_eq!(ts.frame(id).store.get(0), &[] as &[Cell]);
+        assert_eq!(ts.answer_store_cells(), 0, "boolean answers are free");
     }
 
     #[test]
@@ -1689,13 +1440,12 @@ mod tests {
     }
 
     #[test]
-    fn abolish_pred_drops_trie_entries() {
-        let mut ts = TableSpace::with_index(TableIndex::Trie);
+    fn abolished_variant_is_recreated_fresh() {
+        let mut ts = TableSpace::new();
         let a = mk(&mut ts, 3, &[Cell::int(1)]);
         let _b = mk(&mut ts, 3, &[Cell::int(2)]);
         ts.complete_scc(a); // completes the whole stack segment: a and b
-        assert_eq!(ts.abolish_pred(3), 2);
-        assert!(!ts.subgoal_tries.contains_key(&3), "subgoal trie dropped");
+        assert_eq!(ts.invalidate_pred(3), 2);
         assert_eq!(ts.find(3, &[Cell::int(1)]), None);
         // re-creating the variant builds a fresh frame, not a resurrection
         let c = mk(&mut ts, 3, &[Cell::int(1)]);

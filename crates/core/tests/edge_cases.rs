@@ -400,84 +400,25 @@ fn interleaved_queries_on_shared_tables() {
 }
 
 // ---------------------------------------------------------------------
-// trie-based table indexing (paper §4.5 future work)
+// abolish and re-query
 // ---------------------------------------------------------------------
 
 #[test]
-fn trie_table_index_gives_identical_answers() {
-    let src = ":- table path/2.\n\
-               path(X,Y) :- edge(X,Y).\n\
-               path(X,Y) :- path(X,Z), edge(Z,Y).\n\
-               edge(1,2). edge(2,3). edge(3,1). edge(3,4).";
-    let mut hash_e = engine(src);
-    let mut trie_e = Engine::new();
-    trie_e.set_table_index(xsb_core::table::TableIndex::Trie);
-    trie_e.consult(src).unwrap();
-    for q in ["path(1, X)", "path(X, Y)", "path(2, 4)", "path(4, X)"] {
-        assert_eq!(
-            hash_e.count(q).unwrap(),
-            trie_e.count(q).unwrap(),
-            "query {q}"
-        );
-    }
-}
-
-#[test]
-fn trie_table_index_with_negation() {
-    let src = ":- table win/1.\n\
-               win(X) :- move(X,Y), tnot win(Y).\n\
-               move(1,2). move(2,3). move(3,4).";
-    let mut e = Engine::new();
-    e.set_table_index(xsb_core::table::TableIndex::Trie);
-    e.consult(src).unwrap();
-    assert!(e.holds("win(1)").unwrap());
-    assert!(!e.holds("win(2)").unwrap());
-}
-
-#[test]
-fn trie_answer_store_shares_prefixes() {
-    // answers p(k, 1..60) share the first component per k
-    let mut src = String::from(":- table p/2.\n");
-    for k in 0..4 {
-        for v in 0..60 {
-            src.push_str(&format!("p(c{k}, {v}).\n"));
-        }
-    }
-    let mut trie_e = Engine::new();
-    trie_e.set_table_index(xsb_core::table::TableIndex::Trie);
-    trie_e.consult(&src).unwrap();
-    assert_eq!(trie_e.count("p(X, Y)").unwrap(), 240);
-    let trie_cells = trie_e.tables.answer_store_cells();
-
-    let mut hash_e = engine(&src);
-    assert_eq!(hash_e.count("p(X, Y)").unwrap(), 240);
-    let flat_cells = hash_e.tables.answer_store_cells();
-    assert!(
-        trie_cells < flat_cells,
-        "trie {trie_cells} cells < flat {flat_cells} cells"
-    );
-}
-
-#[test]
-fn trie_index_survives_abolish_and_requery() {
-    let mut e = Engine::new();
-    e.set_table_index(xsb_core::table::TableIndex::Trie);
-    e.consult(
+fn tables_survive_abolish_and_requery() {
+    let mut e = engine(
         ":- table path/2.\npath(X,Y) :- edge(X,Y).\npath(X,Y) :- path(X,Z), edge(Z,Y).\nedge(1,2). edge(2,1).",
-    )
-    .unwrap();
+    );
     assert_eq!(e.count("path(1, X)").unwrap(), 2);
     e.abolish_all_tables();
     assert_eq!(e.count("path(1, X)").unwrap(), 2);
-    // warm-table lookup also works in trie mode
+    // warm-table lookup
     assert_eq!(e.count("path(1, X)").unwrap(), 2);
-    // selective abolish drops the subgoal trie, and a re-query rebuilds a
-    // fresh frame rather than resurrecting the deleted one
+    // after a selective abolish, a re-query rebuilds a fresh frame rather
+    // than resurrecting the deleted one
     assert!(e.holds("abolish_table_pred(path/2)").unwrap());
     assert_eq!(e.table_count(), 0);
     assert_eq!(e.count("path(1, X)").unwrap(), 2);
-    // per-variant abolish in trie mode: remaps the call-trie entry on
-    // re-creation instead of leaving it dangling
+    // per-variant abolish, then re-creation of that variant
     assert!(e.holds("abolish_table_call(path(1, _))").unwrap());
     assert_eq!(e.count("path(1, X)").unwrap(), 2);
     assert_eq!(e.count("path(2, X)").unwrap(), 2);

@@ -1,8 +1,8 @@
 //! Property tests for substitution-factored answer tables: the factored
 //! store plus the direct-binding return path must round-trip any answer
-//! back to a variant of the original instantiated call, under both table
-//! indexes and with the unfactored-baseline expansion agreeing cell for
-//! cell with a directly canonicalized full tuple.
+//! back to a variant of the original instantiated call, and a table
+//! imported from the pool-shared store must return exactly the answers
+//! the locally computed table returns.
 
 // Property tests require the external `proptest` crate, which the
 // offline sandbox cannot fetch. Re-add the dev-dependency and enable
@@ -11,10 +11,12 @@
 
 use proptest::prelude::*;
 use std::rc::Rc;
+use std::sync::Arc;
 use xsb_core::cell::{Cell, Tag};
 use xsb_core::machine::{Freeze, Machine, NONE};
-use xsb_core::table::{canon_root_spans, GenMode, TableIndex, TableSpace};
-use xsb_core::Engine;
+use xsb_core::table::{canon_root_spans, GenMode, TableSpace};
+use xsb_core::{Engine, SharedTableStore};
+use xsb_obs::Counter;
 use xsb_syntax::{SymbolTable, Term};
 
 /// Strategy for terms with shared variables (pool 0..3), depth <= 6.
@@ -31,13 +33,13 @@ fn ast_term() -> impl Strategy<Value = Term> {
     })
 }
 
-fn with_space<R>(index: TableIndex, f: impl FnOnce(&mut Machine) -> R) -> R {
+fn with_space<R>(f: impl FnOnce(&mut Machine) -> R) -> R {
     let mut syms = SymbolTable::new();
     while syms.len() < 105 {
         syms.intern(&format!("s{}", syms.len()));
     }
     let mut db = xsb_core::program::Program::new(&mut syms);
-    let mut tables = TableSpace::with_index(index);
+    let mut tables = TableSpace::new();
     let mut m = Machine::new(&mut db, &mut tables);
     f(&mut m)
 }
@@ -47,8 +49,8 @@ fn with_space<R>(index: TableIndex, f: impl FnOnce(&mut Machine) -> R) -> R {
 /// answer in a real subgoal frame, undo the instantiation, then replay
 /// the answer through the direct-binding return path and check the call
 /// is a variant of the original instance (equal canonical forms).
-fn roundtrip(index: TableIndex, t1: &Term, t2: &Term, bindings: &[Term]) -> Result<(), String> {
-    with_space(index, |m| {
+fn roundtrip(t1: &Term, t2: &Term, bindings: &[Term]) -> Result<(), String> {
+    with_space(|m| {
         let mut vm = Vec::new();
         let a1 = m.term_to_heap(t1, &mut vm);
         let a2 = m.term_to_heap(t2, &mut vm); // shared varmap: shared vars
@@ -96,8 +98,9 @@ fn roundtrip(index: TableIndex, t1: &Term, t2: &Term, bindings: &[Term]) -> Resu
             return Err("stored answer is findable".into());
         }
 
-        // the unfactored expansion (template with bindings spliced in)
-        // must equal the directly canonicalized full tuple, cell for cell
+        // what the answer means — the call template with the bindings
+        // spliced in, as the answer listing renders it — must equal the
+        // directly canonicalized instantiated call, cell for cell
         let mut spans = Vec::new();
         canon_root_spans(&ans, nvars, &mut spans);
         let mut expanded: Vec<Cell> = Vec::new();
@@ -143,32 +146,22 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Factored store → direct-binding return rebinds the call to a
-    /// variant of the original instance, under the hash index.
+    /// variant of the original instance.
     #[test]
-    fn factored_roundtrip_hash(
+    fn factored_roundtrip(
         t1 in ast_term(),
         t2 in ast_term(),
         bs in proptest::collection::vec(ast_term(), 0..4),
     ) {
-        prop_assert_eq!(roundtrip(TableIndex::Hash, &t1, &t2, &bs), Ok(()));
+        prop_assert_eq!(roundtrip(&t1, &t2, &bs), Ok(()));
     }
 
-    /// Same round trip under the trie index (store = index = one walk).
+    /// On random edge relations, a completed table that travelled through
+    /// the pool store — published by one engine, imported by a second
+    /// `TableSpace` that never ran a clause of `path/2` — returns exactly
+    /// the answers, in the same order, as a table computed locally.
     #[test]
-    fn factored_roundtrip_trie(
-        t1 in ast_term(),
-        t2 in ast_term(),
-        bs in proptest::collection::vec(ast_term(), 0..4),
-    ) {
-        prop_assert_eq!(roundtrip(TableIndex::Trie, &t1, &t2, &bs), Ok(()));
-    }
-
-    /// End to end: on random edge relations, a tabled transitive closure
-    /// computes the same answer set in all four store configurations
-    /// (factored/unfactored x hash/trie) and never stores more cells
-    /// factored than unfactored.
-    #[test]
-    fn query_results_agree_across_store_configs(
+    fn imported_table_returns_the_local_answers(
         edges in proptest::collection::vec((0i64..6, 0i64..6), 1..14),
     ) {
         let mut src = String::from(
@@ -177,30 +170,28 @@ proptest! {
         for (a, b) in &edges {
             src.push_str(&format!("edge({a},{b}).\n"));
         }
-        let mut expected: Option<usize> = None;
-        let mut cells: Vec<(bool, u64)> = Vec::new();
-        for factored in [true, false] {
-            for index in [TableIndex::Hash, TableIndex::Trie] {
-                let mut e = Engine::new();
-                e.set_table_index(index);
-                e.set_answer_factoring(factored);
-                e.consult(&src).unwrap();
-                let n = e.count("path(0, X)").unwrap();
-                match expected {
-                    None => expected = Some(n),
-                    Some(want) => prop_assert_eq!(
-                        n, want,
-                        "factored={} index={:?}", factored, index
-                    ),
-                }
-                cells.push((factored, e.tables.answer_store_cells()));
-            }
+        let store = Arc::new(SharedTableStore::new());
+        let attached = |store: &Arc<SharedTableStore>| {
+            let mut e = Engine::new();
+            e.consult(&src).unwrap();
+            e.attach_shared_store(store.clone());
+            e
+        };
+        let mut local = Engine::new();
+        local.consult(&src).unwrap();
+        let mut publisher = attached(&store);
+        let mut importer = attached(&store);
+        // a bound call (one factored binding per answer) and the open
+        // call (two)
+        for q in ["path(0, X)", "path(X, Y)"] {
+            local.query(q).unwrap();
+            let want = local.query(q).unwrap(); // served from the completed table
+            publisher.query(q).unwrap();
+            let got = importer.query(q).unwrap();
+            prop_assert_eq!(&got, &want, "query {}", q);
         }
-        // per index kind, factored never stores more than unfactored
-        for i in 0..2 {
-            let (_, fac) = cells[i];
-            let (_, unfac) = cells[i + 2];
-            prop_assert!(fac <= unfac, "factored {} > unfactored {}", fac, unfac);
-        }
+        let m = importer.metrics();
+        prop_assert_eq!(m.get(Counter::SharedTableHits), 2);
+        prop_assert_eq!(m.get(Counter::SubgoalsCreated), 0, "nothing recomputed");
     }
 }

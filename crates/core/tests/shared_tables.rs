@@ -30,9 +30,6 @@ fn coherent_frame(pred: u32, key: &[Cell], tag: i64, n: usize, epoch: u64) -> Ar
         pred,
         Arc::from(key),
         1,
-        true,
-        0,
-        vec![1],
         Arc::from(&cells[..]),
         spans,
         epoch,

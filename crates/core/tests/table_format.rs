@@ -1,10 +1,8 @@
 //! Regression tests pinning the rendered table formats: `tables/0`
-//! (`Engine::table_listing`) and the per-answer full-call-form listing
-//! must stay byte-identical whether answers are stored substitution
-//! factored (the default) or as full tuples (the `factoring` ablation
-//! baseline), and under both table index representations.
+//! (`Engine::table_listing`) and the per-answer listing, which re-expands
+//! substitution-factored answers into full call form.
 
-use xsb_core::table::{answer_listing, TableIndex};
+use xsb_core::table::answer_listing;
 use xsb_core::Engine;
 
 const CYCLE3: &str = r#"
@@ -34,54 +32,18 @@ fn table_listing_bytes_are_pinned() {
 }
 
 #[test]
-fn table_listing_is_identical_across_store_representations() {
-    let mut expected = None;
-    for factored in [true, false] {
-        for index in [TableIndex::Hash, TableIndex::Trie] {
-            let mut e = Engine::new();
-            e.set_table_index(index);
-            e.set_answer_factoring(factored);
-            e.consult(CYCLE3).unwrap();
-            assert_eq!(e.count("path(1, X)").unwrap(), 3);
-            let listing = e.table_listing();
-            match &expected {
-                None => expected = Some(listing),
-                Some(want) => assert_eq!(
-                    &listing, want,
-                    "factored={factored} index={index:?} changed the listing"
-                ),
-            }
-        }
-    }
-    assert_eq!(
-        expected.as_deref(),
-        Some("path/2(1,_0): 3 answers, complete\n")
-    );
-}
-
-#[test]
 fn answer_listing_renders_full_call_form() {
-    // an open call: the whole argument tuple is variable, so the factored
-    // store holds just the bindings — the listing re-expands them
-    let mut want = None;
-    for factored in [true, false] {
-        let mut e = Engine::new();
-        e.set_answer_factoring(factored);
-        e.consult(SKELETON).unwrap();
-        assert_eq!(e.count("q(U, V)").unwrap(), 2);
-        let f = e
-            .tables
-            .subgoals
-            .iter()
-            .find(|f| f.nvars == 2)
-            .expect("q/2 frame");
-        let listing = answer_listing(f, &e.syms);
-        assert_eq!(listing, "(f(1),g(1,b))\n(f(2),g(2,b))\n");
-        match &want {
-            None => want = Some(listing),
-            Some(w) => assert_eq!(&listing, w),
-        }
-    }
+    // an open call: the whole argument tuple is variable, so the store
+    // holds just the bindings — the listing re-expands them
+    let mut e = engine(SKELETON);
+    assert_eq!(e.count("q(U, V)").unwrap(), 2);
+    let f = e
+        .tables
+        .subgoals
+        .iter()
+        .find(|f| f.nvars == 2)
+        .expect("q/2 frame");
+    assert_eq!(answer_listing(f, &e.syms), "(f(1),g(1,b))\n(f(2),g(2,b))\n");
 }
 
 #[test]
@@ -102,23 +64,12 @@ fn ground_call_answer_lists_as_yes() {
 
 #[test]
 fn partially_bound_call_keeps_skeleton_out_of_the_store() {
-    // q(f(1), V): the f(1) skeleton lives in the call template only;
-    // the single answer stores just V's binding g(1,b) — 4 cells —
-    // instead of the 7-cell full tuple
+    // q(f(1), V): the f(1) skeleton lives in the call template only; the
+    // single answer stores just V's binding g(1,b) — 3 cells, not the
+    // 5-cell full tuple
     let mut e = engine(SKELETON);
     assert_eq!(e.count("q(f(1), V)").unwrap(), 1);
-    let factored_cells = e.tables.answer_store_cells();
-
-    let mut base = Engine::new();
-    base.set_answer_factoring(false);
-    base.consult(SKELETON).unwrap();
-    assert_eq!(base.count("q(f(1), V)").unwrap(), 1);
-    let full_cells = base.tables.answer_store_cells();
-
-    assert!(
-        factored_cells < full_cells,
-        "factored {factored_cells} cells < full {full_cells} cells"
-    );
+    assert_eq!(e.tables.answer_store_cells(), 3);
     let f = e
         .tables
         .subgoals

@@ -1,8 +1,7 @@
 //! Cross-query table lifetime: dependency-tracked invalidation on
-//! assert/retract, selective abolish under both index modes, the
-//! answer-store budget, and shared-table safety under `e_tnot`.
+//! assert/retract, selective abolish, the answer-store budget, and
+//! shared-table safety under `e_tnot`.
 
-use xsb_core::table::TableIndex;
 use xsb_core::Engine;
 use xsb_obs::Counter;
 
@@ -22,10 +21,9 @@ fn engine(src: &str) -> Engine {
 // stale-answer regression: assert/retract invalidate dependent tables
 // ---------------------------------------------------------------------
 
-fn stale_answer_regression(index: TableIndex) {
-    let mut e = Engine::new();
-    e.set_table_index(index);
-    e.consult(PATH_OVER_DYNAMIC_EDGE).unwrap();
+#[test]
+fn assert_retract_invalidate_dependent_table() {
+    let mut e = engine(PATH_OVER_DYNAMIC_EDGE);
 
     assert_eq!(e.count("path(1, X)").unwrap(), 1);
     // the bug this PR fixes: without invalidation this re-query served
@@ -41,16 +39,6 @@ fn stale_answer_regression(index: TableIndex) {
     // retractall empties the relation and the table follows
     e.query("retractall(edge(_, _))").unwrap();
     assert_eq!(e.count("path(1, X)").unwrap(), 0);
-}
-
-#[test]
-fn assert_retract_invalidate_dependent_table_hash_index() {
-    stale_answer_regression(TableIndex::Hash);
-}
-
-#[test]
-fn assert_retract_invalidate_dependent_table_trie_index() {
-    stale_answer_regression(TableIndex::Trie);
 }
 
 #[test]
@@ -158,14 +146,12 @@ fn dependencies_learned_from_asserted_rules() {
 // selective abolish builtins
 // ---------------------------------------------------------------------
 
-fn selective_abolish(index: TableIndex) {
-    let mut e = Engine::new();
-    e.set_table_index(index);
-    e.consult(
+#[test]
+fn abolish_table_pred_is_selective() {
+    let mut e = engine(
         ":- table p/1.\np(1). p(2).\n\
          :- table q/1.\nq(7).",
-    )
-    .unwrap();
+    );
     assert_eq!(e.count("p(X)").unwrap(), 2);
     assert_eq!(e.count("q(X)").unwrap(), 1);
     assert_eq!(e.table_count(), 2);
@@ -180,16 +166,6 @@ fn selective_abolish(index: TableIndex) {
 }
 
 #[test]
-fn abolish_table_pred_is_selective_hash_index() {
-    selective_abolish(TableIndex::Hash);
-}
-
-#[test]
-fn abolish_table_pred_is_selective_trie_index() {
-    selective_abolish(TableIndex::Trie);
-}
-
-#[test]
 fn abolish_table_pred_rejects_untabled_and_skips_unknown() {
     let mut e = engine("plain(1).");
     assert!(e.query("abolish_table_pred(plain/1)").is_err());
@@ -197,10 +173,9 @@ fn abolish_table_pred_rejects_untabled_and_skips_unknown() {
     assert!(e.holds("abolish_table_pred(nosuch/3)").unwrap());
 }
 
-fn abolish_call_per_variant(index: TableIndex) {
-    let mut e = Engine::new();
-    e.set_table_index(index);
-    e.consult(":- table p/1.\np(1). p(2).").unwrap();
+#[test]
+fn abolish_table_call_is_per_variant() {
+    let mut e = engine(":- table p/1.\np(1). p(2).");
     // `count` drives each call to exhaustion so both variants complete
     // (a query stopped at its first solution purges its incomplete table)
     assert_eq!(e.count("p(1)").unwrap(), 1);
@@ -216,16 +191,6 @@ fn abolish_call_per_variant(index: TableIndex) {
     // the abolished variant recomputes on demand
     assert_eq!(e.count("p(1)").unwrap(), 1);
     assert_eq!(e.table_count(), 2);
-}
-
-#[test]
-fn abolish_table_call_is_per_variant_hash_index() {
-    abolish_call_per_variant(TableIndex::Hash);
-}
-
-#[test]
-fn abolish_table_call_is_per_variant_trie_index() {
-    abolish_call_per_variant(TableIndex::Trie);
 }
 
 #[test]
@@ -291,16 +256,6 @@ fn set_table_budget_builtin_and_unbounded_reset() {
     assert_eq!(e.count("p(X)").unwrap(), 2);
     assert_eq!(e.table_count(), 0, "budget of 1 cell evicts the table");
     assert!(e.query("set_table_budget(nope)").is_err());
-}
-
-#[test]
-fn budget_survives_index_switch() {
-    let mut e = Engine::new();
-    e.set_table_budget(Some(1));
-    e.set_table_index(TableIndex::Trie);
-    e.consult(":- table p/1.\np(1). p(2).").unwrap();
-    assert_eq!(e.count("p(X)").unwrap(), 2);
-    assert_eq!(e.table_count(), 0, "budget still applies after the switch");
 }
 
 // ---------------------------------------------------------------------

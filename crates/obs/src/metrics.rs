@@ -57,14 +57,9 @@ pub enum Counter {
     TableInvalidations,
     /// Completed tables evicted to stay under the table-space budget.
     TableEvictions,
-    /// Cells actually stored for new answers under substitution
-    /// factoring (bindings of the call's distinct variables only).
+    /// Cells stored for new answers (substitution factored: bindings of
+    /// the call's distinct variables only).
     AnswerCellsFactored,
-    /// Cells the same answers would occupy as full argument tuples
-    /// (call skeleton re-expanded at every variable occurrence).
-    AnswerCellsFull,
-    /// Cells saved by substitution factoring (`full - factored`).
-    AnswerCellsSaved,
     /// Tabled calls answered by importing a completed table from the
     /// pool's shared store (cross-worker warm hits).
     SharedTableHits,
@@ -104,7 +99,7 @@ pub enum Counter {
 }
 
 impl Counter {
-    pub const COUNT: usize = 36;
+    pub const COUNT: usize = 34;
 
     /// `statistics/2` keys, in report order.
     pub const NAMES: [&'static str; Counter::COUNT] = [
@@ -128,8 +123,6 @@ impl Counter {
         "table_invalidations",
         "table_evictions",
         "answer_cells_factored",
-        "answer_cells_full",
-        "answer_cells_saved",
         "shared_table_hits",
         "shared_table_publishes",
         "shared_table_invalidations",
@@ -522,25 +515,69 @@ mod tests {
         assert_eq!(m.get(Counter::SubgoalsCreated), 1);
     }
 
+    /// Every variant, in declaration order. Removing or adding a variant
+    /// breaks this list at compile time (unknown name, or a length other
+    /// than `COUNT`); the test below then pins it to `NAMES`.
+    const ALL: [Counter; Counter::COUNT] = [
+        Counter::Instructions,
+        Counter::Calls,
+        Counter::Unifications,
+        Counter::TrailOps,
+        Counter::ChoicePoints,
+        Counter::Backtracks,
+        Counter::SubgoalsCreated,
+        Counter::AnswersRecorded,
+        Counter::DuplicateAnswers,
+        Counter::ConsumerSuspensions,
+        Counter::ConsumerResumptions,
+        Counter::SccCompletions,
+        Counter::SubgoalsCompleted,
+        Counter::NegationSuspends,
+        Counter::NegationResumes,
+        Counter::TableHits,
+        Counter::TableMisses,
+        Counter::TableInvalidations,
+        Counter::TableEvictions,
+        Counter::AnswerCellsFactored,
+        Counter::SharedTableHits,
+        Counter::SharedTablePublishes,
+        Counter::SharedTableInvalidations,
+        Counter::SharedClaims,
+        Counter::ClaimWaits,
+        Counter::ClaimFallbacks,
+        Counter::WalAppends,
+        Counter::WalFsyncs,
+        Counter::GroupCommitBatch,
+        Counter::RecoveryReplayed,
+        Counter::NetConnections,
+        Counter::NetRequests,
+        Counter::NetRejections,
+        Counter::NetProtocolErrors,
+    ];
+
+    /// `SubgoalsCreated` → `subgoals_created`.
+    fn snake_case(camel: &str) -> String {
+        let mut out = String::new();
+        for (i, ch) in camel.chars().enumerate() {
+            if ch.is_ascii_uppercase() && i > 0 {
+                out.push('_');
+            }
+            out.push(ch.to_ascii_lowercase());
+        }
+        out
+    }
+
     #[test]
-    fn counter_names_match_count() {
+    fn every_counter_round_trips_through_its_name() {
         assert_eq!(Counter::NAMES.len(), Counter::COUNT);
-        assert_eq!(Counter::NetProtocolErrors as usize, Counter::COUNT - 1);
-        assert_eq!(Counter::SubgoalsCreated.name(), "subgoals_created");
-        assert_eq!(Counter::TableHits.name(), "table_hits");
-        assert_eq!(Counter::AnswerCellsSaved.name(), "answer_cells_saved");
-        assert_eq!(Counter::SharedTableHits.name(), "shared_table_hits");
-        assert_eq!(Counter::SharedClaims.name(), "shared_claims");
-        assert_eq!(Counter::ClaimWaits.name(), "claim_waits");
-        assert_eq!(Counter::ClaimFallbacks.name(), "claim_fallbacks");
-        assert_eq!(Counter::WalAppends.name(), "wal_appends");
-        assert_eq!(Counter::WalFsyncs.name(), "wal_fsyncs");
-        assert_eq!(Counter::GroupCommitBatch.name(), "group_commit_batch");
-        assert_eq!(Counter::RecoveryReplayed.name(), "recovery_replayed");
-        assert_eq!(Counter::NetConnections.name(), "net_connections");
-        assert_eq!(Counter::NetRequests.name(), "net_requests");
-        assert_eq!(Counter::NetRejections.name(), "net_rejections");
-        assert_eq!(Counter::NetProtocolErrors.name(), "net_protocol_errors");
+        for (i, c) in ALL.into_iter().enumerate() {
+            assert_eq!(c as usize, i, "{c:?}: ALL is in discriminant order");
+            assert_eq!(
+                c.name(),
+                snake_case(&format!("{c:?}")),
+                "NAMES[{i}] is {c:?}'s key"
+            );
+        }
     }
 
     #[test]

@@ -107,31 +107,6 @@ assert s["table_hits"] > 0 and s["table_invalidations"] > 0 \
 PY
 fi
 
-echo "== factoring smoke run (E14: answer-store cells, cold/warm serving)"
-cargo run --release --offline -p xsb-bench --bin harness -- \
-    factoring --quick --json "$ARTIFACT_DIR/factoring.json"
-validate_json "$ARTIFACT_DIR/factoring.json" '"factoring"'
-if [ "$HAVE_PYTHON3" = 1 ]; then
-python3 - "$ARTIFACT_DIR/factoring.json" <<'PY'
-import json, sys
-rows = json.load(open(sys.argv[1]))["factoring"]
-saved = sum(r["answer_cells_saved"] for r in rows if r["factored"])
-print("answer_cells_saved (factored rows): %d" % saved)
-for r in rows:
-    print("n=%-5d index=%-4s store=%-8s store_cells=%-6d cold=%.6fs warm=%.6fs"
-          % (r["n"], r["index"], "factored" if r["factored"] else "full",
-             r["store_cells"], r["cold_secs"], r["warm_secs"]))
-assert saved > 0, "substitution factoring saved no cells"
-by_key = {(r["n"], r["index"], r["factored"]): r for r in rows}
-for (n, index, factored), r in by_key.items():
-    if factored:
-        base = by_key[(n, index, False)]
-        assert r["store_cells"] < base["store_cells"], (
-            "factored store (%d cells) not smaller than unfactored (%d) "
-            "on n=%d %s" % (r["store_cells"], base["store_cells"], n, index))
-PY
-fi
-
 echo "== concurrent smoke run (E15: shared-table engine pool)"
 cargo run --release --offline -p xsb-bench --bin harness -- \
     concurrent --quick --json "$ARTIFACT_DIR/concurrent.json"
@@ -239,6 +214,12 @@ assert all(r["busy"] == 0 and r["errors"] == 0 for r in s["rows"]), (
     "closed-loop sweep saw Busy or engine errors")
 PY
 fi
+
+echo "== xsbench --check (BENCHMARK.json: every workload end to end, replies verified)"
+# its own package and target directory; it serves over real sockets, so
+# it sits under the watchdog like E18
+$WATCHDOG cargo run --release --offline --quiet \
+    --manifest-path xsbench/Cargo.toml -- --check
 
 echo "== traced query run (Chrome trace-event export + opcode profile)"
 cargo run --release --offline -p xsb-bench --bin harness -- \
