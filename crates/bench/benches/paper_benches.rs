@@ -1,5 +1,5 @@
 //! Micro-benches — one group per paper table/figure (small sizes; the
-//! `harness` binary runs the full parameter sweeps and JSON export).
+//! `harness` binary runs the full parameter sweeps).
 //!
 //! Dependency-free: a tiny best-of-N timing loop instead of criterion, so
 //! `cargo bench` works in the offline sandbox. Each case runs a warmup
@@ -72,7 +72,7 @@ fn fig5() {
 /// E5 / Table 3 — the five join implementations at |R|=|S|=2000.
 fn table3_join() {
     use std::sync::Arc;
-    use xsb_storage::{client_server_join, BufferPool, Disk, Field, Table};
+    use xsb_bench::rdbms::{client_server_join, BufferPool, Disk, Field, Table};
     let (r, s) = join_relations(2000, 1000);
     let expected = native_join(&r, &s);
     let group = "table3_join_2000";

@@ -2,13 +2,13 @@
 //! benches. Each function regenerates one table or figure from the paper
 //! (see DESIGN.md's per-experiment index) and returns structured rows.
 
+use crate::rdbms::{client_server_join, BufferPool, Disk, Field, Table};
 use crate::workloads::*;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xsb_core::Engine;
 use xsb_datalog::Strategy;
-use xsb_storage::{client_server_join, BufferPool, Disk, Field, Table};
 
 /// Times `f`, returning the best of `reps` runs (reduces scheduler noise).
 pub fn time_best(reps: usize, mut f: impl FnMut()) -> Duration {
@@ -541,225 +541,9 @@ pub fn run_bulkload(n: usize, reps: usize) -> BulkloadRow {
     }
 }
 
-// ---------------------------------------------------------------------
-// E13 — repeat-query serving over persistent tables
-// ---------------------------------------------------------------------
-
-/// One serving session: cold query, warm repeats served from the
-/// completed table, an update (assert) that invalidates it, and a
-/// rotation of distinct subgoals under a small answer-store budget.
-#[derive(Debug, Clone)]
-pub struct ServingReport {
-    pub n: i64,
-    pub warm_queries: usize,
-    pub cold_secs: f64,
-    pub warm_secs: f64,
-    pub warm_speedup: f64,
-    pub invalidate_requery_secs: f64,
-    pub table_hits: u64,
-    pub table_misses: u64,
-    pub invalidations: u64,
-    pub evictions: u64,
-}
-
-pub fn run_serving(n: i64, warm_queries: usize) -> ServingReport {
-    use xsb_obs::Counter;
-    let edges = cycle_edges(n);
-    let expected = n as usize;
-    let mut e = engine_with_edges(PATH_LEFT_TABLED, &edges);
-
-    // cold: the first query computes the closure from node 1
-    let t0 = Instant::now();
-    assert_eq!(e.count("path(1, X)").unwrap(), expected);
-    let cold = secs(t0.elapsed());
-
-    // warm: identical repeat queries answered from the completed table
-    let t0 = Instant::now();
-    for _ in 0..warm_queries {
-        assert_eq!(e.count("path(1, X)").unwrap(), expected);
-    }
-    let warm = secs(t0.elapsed()) / warm_queries as f64;
-
-    // update: one assert reaches the tabled predicate through the
-    // dependency graph; the re-query recomputes instead of serving stale
-    let edge = e.syms.intern("edge");
-    e.assert_term(&xsb_syntax::Term::Compound(
-        edge,
-        vec![xsb_syntax::Term::Int(n), xsb_syntax::Term::Int(n + 1)],
-    ))
-    .unwrap();
-    let t0 = Instant::now();
-    assert_eq!(e.count("path(1, X)").unwrap(), expected + 1);
-    let requery = secs(t0.elapsed());
-
-    // bounded cache: rotate distinct subgoals through a budget that holds
-    // only a few tables, forcing least-recently-hit eviction
-    e.set_table_budget(Some(2 * n as u64));
-    for k in 1..=8.min(n) {
-        assert!(e.count(&format!("path({k}, X)")).unwrap() >= expected);
-    }
-
-    let m = e.metrics();
-    ServingReport {
-        n,
-        warm_queries,
-        cold_secs: cold,
-        warm_secs: warm,
-        warm_speedup: cold / warm.max(1e-9),
-        invalidate_requery_secs: requery,
-        table_hits: m.get(Counter::TableHits),
-        table_misses: m.get(Counter::TableMisses),
-        invalidations: m.get(Counter::TableInvalidations),
-        evictions: m.get(Counter::TableEvictions),
-    }
-}
-
-// ---------------------------------------------------------------------
-// E16 — emulator raw speed: fused vs unfused dispatch on E2/E6/E7 cores
-// ---------------------------------------------------------------------
-
-/// One emulator workload measured on a fused and an unfused engine.
-///
-/// `work_instructions` is the number of instructions one evaluation
-/// dispatches on the *unfused* engine — the workload's work in original
-/// instruction units, independent of how many superinstructions the
-/// fused engine folds them into. `instructions_per_sec` is that work
-/// divided by the fused engine's wall time, so the metric rises both
-/// when dispatch gets cheaper and when fusion retires more work per
-/// dispatch — a higher-is-better raw-speed gauge the bench gate tracks.
-#[derive(Debug, Clone)]
-pub struct EmulatorRow {
-    pub workload: &'static str,
-    pub work_instructions: u64,
-    /// dispatches the fused engine needs for the same evaluation
-    /// (superinstructions retire several work units at once)
-    pub fused_instructions: u64,
-    /// best-of-reps wall time of one evaluation, fused engine
-    pub query_time_ns: u64,
-    pub unfused_query_time_ns: u64,
-    pub instructions_per_sec: f64,
-    pub unfused_instructions_per_sec: f64,
-    pub speedup: f64,
-}
-
-fn measure_emulator(
-    workload: &'static str,
-    src: &str,
-    reps: usize,
-    eval: &dyn Fn(&mut Engine),
-) -> EmulatorRow {
-    let build = |fused: bool| {
-        let mut e = Engine::with_fusion(fused);
-        e.consult(src).expect("emulator workload consults");
-        e
-    };
-    let instr_count = |e: &mut Engine| {
-        eval(e); // warm up (compiles the query predicate, fills caches)
-        e.reset_metrics();
-        eval(e);
-        e.metrics().get(xsb_obs::Counter::Instructions)
-    };
-    let mut fused = build(true);
-    let mut plain = build(false);
-    let fused_instructions = instr_count(&mut fused);
-    let work_instructions = instr_count(&mut plain);
-    let fused_t = time_best(reps, || eval(&mut fused));
-    let plain_t = time_best(reps, || eval(&mut plain));
-    let fused_ns = fused_t.as_nanos() as u64;
-    let plain_ns = plain_t.as_nanos() as u64;
-    EmulatorRow {
-        workload,
-        work_instructions,
-        fused_instructions,
-        query_time_ns: fused_ns,
-        unfused_query_time_ns: plain_ns,
-        instructions_per_sec: work_instructions as f64 / secs(fused_t).max(1e-9),
-        unfused_instructions_per_sec: work_instructions as f64 / secs(plain_t).max(1e-9),
-        speedup: plain_ns as f64 / fused_ns.max(1) as f64,
-    }
-}
-
-/// Runs the three core emulator workloads (the E2 win/1 game, the E6
-/// left-recursive chain, and an E7-style append enumeration) on a fused
-/// and an unfused engine. Facts are consulted as *static* source so the
-/// compiled fact code exercises the `get_constant_proceed` and unify-run
-/// superinstructions like user programs do.
-pub fn run_emulator(quick: bool) -> Vec<EmulatorRow> {
-    let reps = if quick { 5 } else { 8 };
-    let win_h: u32 = if quick { 8 } else { 10 };
-    let chain_n: i64 = if quick { 512 } else { 2048 };
-    let app_n: i64 = if quick { 160 } else { 400 };
-
-    let mut win_src = String::from(":- table win/1.\nwin(X) :- move(X,Y), tnot win(Y).\n");
-    for &(a, b) in &binary_tree_moves(win_h) {
-        win_src.push_str(&format!("move({a},{b}).\n"));
-    }
-    let win_expected = win_h % 2 == 1;
-
-    let mut path_src = String::from(PATH_LEFT_TABLED);
-    for &(a, b) in &chain_edges(chain_n) {
-        path_src.push_str(&format!("edge({a},{b}).\n"));
-    }
-    let path_expected = (chain_n - 1) as usize;
-
-    // E7 core, driven as naive reverse: n(n+1)/2 append steps of pure SLD
-    // emulator work — the classic WAM raw-dispatch benchmark
-    let app_src = format!(
-        "app([], L, L).\n\
-         app([H|T], L, [H|R]) :- app(T, L, R).\n\
-         nrev([], []).\n\
-         nrev([H|T], R) :- nrev(T, RT), app(RT, [H], R).\n\
-         mylist([{}]).",
-        (1..=app_n)
-            .map(|i| i.to_string())
-            .collect::<Vec<_>>()
-            .join(",")
-    );
-
-    vec![
-        measure_emulator("e2_win", &win_src, reps, &|e| {
-            e.abolish_all_tables();
-            assert_eq!(e.holds("win(1)").unwrap(), win_expected);
-        }),
-        measure_emulator("e6_path", &path_src, reps, &|e| {
-            e.abolish_all_tables();
-            assert_eq!(e.count("path(1, X)").unwrap(), path_expected);
-        }),
-        measure_emulator("e7_append", &app_src, reps, &|e| {
-            assert_eq!(e.count("mylist(L), nrev(L, R)").unwrap(), 1);
-        }),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn emulator_measure_counts_fused_dispatch_savings() {
-        // fact retrieval compiles to get_constant;proceed sequences the
-        // peephole pass fuses: the fused engine must dispatch strictly
-        // fewer instructions for identical answers
-        let src = "edge(1,2). edge(2,3). edge(3,4).";
-        let row = measure_emulator("smoke", src, 2, &|e| {
-            assert_eq!(e.count("edge(X, Y)").unwrap(), 3);
-        });
-        assert!(
-            row.fused_instructions < row.work_instructions,
-            "fusion did not reduce dispatches: {row:?}"
-        );
-        assert!(row.instructions_per_sec > 0.0);
-        assert!(row.query_time_ns > 0);
-    }
-
-    #[test]
-    fn serving_warm_hits_invalidation_and_eviction() {
-        let r = run_serving(48, 3);
-        assert!(r.table_hits >= 3, "warm repeats hit the table: {r:?}");
-        assert!(r.table_misses >= 1);
-        assert!(r.invalidations >= 1, "assert invalidated path/2: {r:?}");
-        assert!(r.evictions >= 1, "small budget evicted tables: {r:?}");
-    }
 
     #[test]
     fn fig2_counts_follow_g_formula() {
@@ -883,660 +667,4 @@ pub fn run_seminaive_ablation(sizes: &[i64], reps: usize) -> Vec<SemiNaiveRow> {
         });
     }
     out
-}
-
-// ---------------------------------------------------------------------
-// E15 — concurrent serving: shared-table engine pool
-// ---------------------------------------------------------------------
-
-/// One worker-count configuration of the E15 sweep.
-#[derive(Debug, Clone)]
-pub struct ConcurrentRow {
-    pub workers: usize,
-    /// Aggregate throughput over the CONTENDED cold phase: every cold
-    /// subgoal is submitted to every worker at once (subgoals × workers
-    /// queries), so the workers race the same first calls. The claim/wait
-    /// protocol makes one racer compute while the rest park and import —
-    /// without it this phase does N× duplicated work.
-    pub cold_qps: f64,
-    /// Cold-phase table computes beyond the one-per-subgoal minimum
-    /// (`table_misses - subgoals`). The claim/wait protocol holds this at
-    /// 0; it is gate-tracked so duplicated cold work cannot creep back.
-    pub cold_dup_computes: u64,
-    /// Cold-phase parked claim waits (losing racers that imported after
-    /// the claimant published) — contention evidence, not gated.
-    pub claim_waits: u64,
-    /// Aggregate throughput re-serving those subgoals; after the
-    /// contended cold phase every worker holds every table locally, so
-    /// this measures completed-table serving at full fan-out.
-    pub warm_qps: f64,
-    /// Aggregate throughput while `consult_all` invalidation churn keeps
-    /// ripping the tables out from under the workers.
-    pub churn_qps: f64,
-    pub shared_hits: u64,
-    pub shared_publishes: u64,
-    pub shared_invalidations: u64,
-    /// Per-job serving latency percentiles (worker-side run time), carved
-    /// per phase from the pool's cumulative histograms by snapshot
-    /// subtraction.
-    pub cold_p50_ns: u64,
-    pub cold_p99_ns: u64,
-    pub warm_p50_ns: u64,
-    pub warm_p99_ns: u64,
-    pub churn_p50_ns: u64,
-    pub churn_p99_ns: u64,
-    /// Queue wait (submit → worker pickup) over all three phases.
-    pub queue_p50_ns: u64,
-    pub queue_p99_ns: u64,
-}
-
-/// E15 report: the sweep rows plus the two headline ratios.
-#[derive(Debug, Clone)]
-pub struct ConcurrentReport {
-    pub n: i64,
-    pub subgoals: usize,
-    pub warm_reps: usize,
-    pub churn_rounds: usize,
-    pub rows: Vec<ConcurrentRow>,
-    /// Warm vs contended-cold throughput at the largest worker count.
-    /// This is the core-count-independent measure of what the shared
-    /// store buys: a warm hit serves a completed table instead of
-    /// computing it (and the cold side itself already dedups to one
-    /// compute per subgoal via claim/wait).
-    pub shared_speedup: f64,
-    /// Aggregate warm qps at the largest worker count vs one worker.
-    /// Thread-level scaling — only meaningful on a multi-core host.
-    pub warm_scaling: f64,
-    /// Headline tail latency: warm-phase per-job serving latency at the
-    /// largest worker count (the `bench_gate` guarded metrics).
-    pub p50_ns: u64,
-    pub p99_ns: u64,
-}
-
-/// `path/2` over an `n`-cycle with a dynamic EDB, so `consult_all` churn
-/// appends facts (rather than replacing the relation).
-fn pool_program(n: i64) -> String {
-    let mut src = String::from(
-        ":- table path/2.\n:- dynamic edge/2.\n\
-         path(X,Y) :- edge(X,Y).\n\
-         path(X,Y) :- path(X,Z), edge(Z,Y).\n",
-    );
-    for (a, b) in cycle_edges(n) {
-        src.push_str(&format!("edge({a},{b}).\n"));
-    }
-    src
-}
-
-pub fn run_concurrent(
-    n: i64,
-    worker_counts: &[usize],
-    subgoals: usize,
-    warm_reps: usize,
-    churn_rounds: usize,
-) -> ConcurrentReport {
-    use xsb_core::{PoolConfig, ServerPool};
-    use xsb_obs::Counter;
-    let src = pool_program(n);
-    let expected = n as usize; // every node reaches every node on a cycle
-    let mut rows = Vec::new();
-    for &w in worker_counts {
-        let pool = ServerPool::new(
-            &src,
-            PoolConfig {
-                workers: w,
-                ..PoolConfig::default()
-            },
-        )
-        .expect("pool program consults");
-
-        // cold (contended): every worker gets every cold subgoal, all
-        // submitted before any can finish — the N×-duplicated-work
-        // scenario the claim/wait protocol exists for. One racer per
-        // subgoal computes; the rest park and import the published frame.
-        let t0 = Instant::now();
-        let tickets: Vec<_> = (0..subgoals)
-            .flat_map(|k| (0..w).map(move |worker| (k as i64 + 1, worker)))
-            .map(|(k, worker)| pool.submit_count(&format!("path({k}, X)"), Some(worker)))
-            .collect();
-        for t in tickets {
-            assert_eq!(t.wait().unwrap(), expected);
-        }
-        let cold = secs(t0.elapsed());
-        let m_cold = pool.metrics();
-
-        // warm: the same subgoals again — after the contended cold phase
-        // every worker already holds every table (computed or imported),
-        // so this measures completed-table serving throughput
-        let t0 = Instant::now();
-        for rep in 1..=warm_reps {
-            let tickets: Vec<_> = (0..subgoals)
-                .map(|k| {
-                    pool.submit_count(&format!("path({}, X)", k as i64 + 1), Some((k + rep) % w))
-                })
-                .collect();
-            for t in tickets {
-                assert_eq!(t.wait().unwrap(), expected);
-            }
-        }
-        let warm = secs(t0.elapsed());
-        let m_warm = pool.metrics();
-
-        // churn: every round appends a fresh out-edge from node n, which
-        // invalidates path/2 on every worker and in the shared store;
-        // queries race the recomputation across workers
-        let t0 = Instant::now();
-        for round in 0..churn_rounds {
-            pool.consult_all(&format!("edge({n}, {}).", n + 1 + round as i64))
-                .expect("churn fact consults");
-            let tickets: Vec<_> = (0..subgoals)
-                .map(|k| pool.submit_count(&format!("path({}, X)", k as i64 + 1), Some(k % w)))
-                .collect();
-            for t in tickets {
-                // each appended edge makes one more node reachable
-                assert_eq!(t.wait().unwrap(), expected + round + 1);
-            }
-        }
-        let churn = secs(t0.elapsed());
-
-        let m = pool.metrics();
-        // the histograms are cumulative: carve each phase out by
-        // subtracting the previous snapshot (churn also counts its
-        // broadcast consults — serving latency under churn, as served)
-        let warm_hist = m_warm.run_time.diff(&m_cold.run_time);
-        let churn_hist = m.run_time.diff(&m_warm.run_time);
-        rows.push(ConcurrentRow {
-            workers: w,
-            cold_qps: (subgoals * w) as f64 / cold.max(1e-9),
-            cold_dup_computes: m_cold
-                .get(Counter::TableMisses)
-                .saturating_sub(subgoals as u64),
-            claim_waits: m_cold.get(Counter::ClaimWaits),
-            warm_qps: (subgoals * warm_reps) as f64 / warm.max(1e-9),
-            churn_qps: (subgoals * churn_rounds) as f64 / churn.max(1e-9),
-            shared_hits: m.get(Counter::SharedTableHits),
-            shared_publishes: m.get(Counter::SharedTablePublishes),
-            shared_invalidations: m.get(Counter::SharedTableInvalidations),
-            cold_p50_ns: m_cold.run_time.p50(),
-            cold_p99_ns: m_cold.run_time.p99(),
-            warm_p50_ns: warm_hist.p50(),
-            warm_p99_ns: warm_hist.p99(),
-            churn_p50_ns: churn_hist.p50(),
-            churn_p99_ns: churn_hist.p99(),
-            queue_p50_ns: m.queue_wait.p50(),
-            queue_p99_ns: m.queue_wait.p99(),
-        });
-    }
-    let first = rows.first().expect("at least one worker count");
-    let last = rows.last().expect("at least one worker count");
-    ConcurrentReport {
-        n,
-        subgoals,
-        warm_reps,
-        churn_rounds,
-        shared_speedup: last.warm_qps / last.cold_qps.max(1e-9),
-        warm_scaling: last.warm_qps / first.warm_qps.max(1e-9),
-        p50_ns: last.warm_p50_ns,
-        p99_ns: last.warm_p99_ns,
-        rows,
-    }
-}
-
-#[cfg(test)]
-mod concurrent_tests {
-    use super::*;
-
-    #[test]
-    fn concurrent_report_exercises_the_shared_store() {
-        // sized so each phase is milliseconds of engine work in a debug
-        // build: the timed ratio below must not hinge on thread wake-ups
-        let r = run_concurrent(768, &[1, 2], 4, 4, 2);
-        assert_eq!(r.rows.len(), 2);
-        let two = &r.rows[1];
-        assert!(two.shared_publishes >= 1, "tables reach the store: {r:?}");
-        assert!(
-            two.shared_hits >= 1,
-            "losing cold racers import from the store: {r:?}"
-        );
-        assert_eq!(
-            two.cold_dup_computes, 0,
-            "claim/wait dedups the contended cold phase: {r:?}"
-        );
-        assert!(
-            two.shared_invalidations >= 1,
-            "churn invalidates the store: {r:?}"
-        );
-        assert!(
-            r.shared_speedup > 1.0,
-            "serving a completed shared table beats recomputing it: {r:?}"
-        );
-        // per-phase latency percentiles are populated and ordered
-        assert!(two.cold_p50_ns > 0 && two.warm_p50_ns > 0 && two.churn_p50_ns > 0);
-        assert!(two.cold_p99_ns >= two.cold_p50_ns);
-        assert!(two.warm_p99_ns >= two.warm_p50_ns);
-        assert_eq!(r.p50_ns, two.warm_p50_ns, "headline = last row's warm");
-        assert_eq!(r.p99_ns, two.warm_p99_ns);
-    }
-}
-
-// ---------------------------------------------------------------------
-// E17 — durability: group-commit throughput, recovery time, checkpoint
-// ---------------------------------------------------------------------
-
-/// One group-commit configuration: `window_us == 0` fsyncs at every
-/// commit point, wider windows batch commits into fewer fsyncs.
-#[derive(Debug, Clone)]
-pub struct DurabilityWindowRow {
-    pub window_us: u64,
-    pub commits: usize,
-    pub commit_qps: f64,
-    pub fsyncs: u64,
-    pub commit_p50_ns: u64,
-    pub commit_p99_ns: u64,
-}
-
-/// One recovery measurement: reopen a log holding `facts` committed
-/// asserts and time the full ARIES replay.
-#[derive(Debug, Clone)]
-pub struct DurabilityRecoveryRow {
-    pub facts: usize,
-    pub log_bytes: u64,
-    pub recovery_ms: f64,
-    pub replayed: u64,
-}
-
-#[derive(Debug, Clone)]
-pub struct DurabilityReport {
-    pub windows: Vec<DurabilityWindowRow>,
-    pub recovery: Vec<DurabilityRecoveryRow>,
-    /// headline commit throughput: the widest group-commit window
-    pub commit_qps: f64,
-    /// headline recovery latency: the largest log
-    pub recovery_ms: f64,
-    /// facts present after recovery that were never durably committed —
-    /// must be identically zero (tracked by the bench gate)
-    pub recovery_torn_facts: u64,
-    pub checkpoint_bytes_before: u64,
-    pub checkpoint_bytes_after: u64,
-}
-
-/// E17: measures (a) committed-assert throughput against a **real file**
-/// (true fsync cost) across group-commit windows, (b) recovery wall time
-/// as a function of log size, and (c) checkpoint truncation. Recovery
-/// correctness is asserted inline: the recovered EDB must hold exactly
-/// the committed facts.
-pub fn run_durability(quick: bool) -> DurabilityReport {
-    use xsb_core::DurableLog;
-    use xsb_storage::{shared_failpoint, CrashMode, MemVfs};
-
-    let commits = if quick { 200 } else { 1000 };
-    let mut windows = Vec::new();
-    for window_us in [0u64, 100, 1000] {
-        let path =
-            std::env::temp_dir().join(format!("xsb_e17_{}_{window_us}.wal", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let log = Arc::new(DurableLog::open_path(&path).expect("open wal file"));
-        let mut e = Engine::create_durable(":- dynamic f/1.\n", log).expect("create");
-        e.set_group_commit_window_us(window_us);
-        let t0 = Instant::now();
-        for i in 0..commits {
-            e.query(&format!("assert(f({i}))")).expect("assert");
-        }
-        e.wal_flush().expect("flush");
-        let secs = t0.elapsed().as_secs_f64();
-        let m = e.metrics();
-        windows.push(DurabilityWindowRow {
-            window_us,
-            commits,
-            commit_qps: commits as f64 / secs.max(1e-9),
-            fsyncs: m.get(xsb_obs::Counter::WalFsyncs),
-            commit_p50_ns: m.commit_latency.p50(),
-            commit_p99_ns: m.commit_latency.quantile(0.99),
-        });
-        drop(e);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    let sizes: &[usize] = if quick {
-        &[200, 800]
-    } else {
-        &[500, 2000, 8000]
-    };
-    let mut recovery = Vec::new();
-    let mut torn_total = 0u64;
-    let mut checkpoint_bytes = (0u64, 0u64);
-    for (i, &facts) in sizes.iter().enumerate() {
-        // build the log in memory (fsync cost is not what's measured here)
-        let fs = shared_failpoint();
-        let log = Arc::new(DurableLog::open(Box::new(fs.clone())).expect("open"));
-        let mut e = Engine::create_durable(":- dynamic f/1.\n", log).expect("create");
-        e.set_group_commit_window_us(10_000_000);
-        for v in 0..facts {
-            e.query(&format!("assert(f({v}))")).expect("assert");
-        }
-        e.wal_flush().expect("flush");
-        drop(e);
-        let img = fs
-            .lock()
-            .unwrap()
-            .crash_image(CrashMode::Exact { at: u64::MAX });
-        let log_bytes = img.len() as u64;
-        let log2 = Arc::new(DurableLog::open(Box::new(MemVfs::from_bytes(img))).expect("reopen"));
-        let t0 = Instant::now();
-        let (mut e2, report) = Engine::open_durable(log2).expect("recover");
-        let recovery_ms = t0.elapsed().as_secs_f64() * 1e3;
-        // exactness check: |recovered| must equal |committed|
-        let recovered = e2.count("f(X)").expect("count") as i64;
-        torn_total += (recovered - facts as i64).unsigned_abs();
-        recovery.push(DurabilityRecoveryRow {
-            facts,
-            log_bytes,
-            recovery_ms,
-            replayed: report.replayed,
-        });
-        if i == sizes.len() - 1 {
-            checkpoint_bytes = e2.checkpoint().expect("checkpoint");
-        }
-    }
-
-    DurabilityReport {
-        commit_qps: windows.last().map_or(0.0, |w| w.commit_qps),
-        recovery_ms: recovery.last().map_or(0.0, |r| r.recovery_ms),
-        recovery_torn_facts: torn_total,
-        checkpoint_bytes_before: checkpoint_bytes.0,
-        checkpoint_bytes_after: checkpoint_bytes.1,
-        windows,
-        recovery,
-    }
-}
-
-#[cfg(test)]
-mod durability_tests {
-    use super::*;
-
-    #[test]
-    fn durability_report_is_exact_and_checkpoint_shrinks() {
-        let r = run_durability(true);
-        assert_eq!(r.windows.len(), 3);
-        assert_eq!(r.recovery.len(), 2);
-        assert_eq!(r.recovery_torn_facts, 0, "recovered ≠ committed: {r:?}");
-        assert!(r.commit_qps > 0.0);
-        assert!(r.recovery_ms > 0.0);
-        assert!(
-            r.checkpoint_bytes_after < r.checkpoint_bytes_before,
-            "checkpoint must truncate: {r:?}"
-        );
-        // the fsync-per-commit row syncs ~once per commit; wide windows
-        // batch (strictly fewer fsyncs than commits)
-        let w0 = &r.windows[0];
-        assert!(w0.fsyncs as usize >= w0.commits, "window 0 defers: {r:?}");
-        let w2 = &r.windows[2];
-        assert!(
-            (w2.fsyncs as usize) < w2.commits,
-            "wide window failed to batch: {r:?}"
-        );
-    }
-}
-
-// ---------------------------------------------------------------------
-// E18 — network serving: closed-loop load over the TCP front-end
-// ---------------------------------------------------------------------
-
-/// One load configuration of the E18 sweep: `connections` client
-/// connections, each keeping `depth` requests pipelined on the wire.
-#[derive(Debug, Clone)]
-pub struct NetServingRow {
-    pub connections: usize,
-    /// pipeline depth per connection (requests kept in flight)
-    pub depth: usize,
-    /// requests completed across all connections
-    pub requests: u64,
-    /// closed-loop throughput (completed requests per second)
-    pub qps: f64,
-    /// client-observed request latency (send → completion frame), exact
-    /// percentiles over every request in the row — not histogram buckets
-    pub p50_ns: u64,
-    pub p99_ns: u64,
-    pub busy: u64,
-    pub errors: u64,
-}
-
-/// E18 report: the closed-loop sweep, an overload row proving admission
-/// control sheds rather than queues, and the zero-tolerance health
-/// counters the CI gate pins (stuck connections, protocol errors).
-#[derive(Debug, Clone)]
-pub struct NetServingReport {
-    pub n: i64,
-    pub rows: Vec<NetServingRow>,
-    /// Headline closed-loop throughput: qps of the deepest
-    /// connections × depth configuration.
-    pub qps: f64,
-    pub p50_ns: u64,
-    pub p99_ns: u64,
-    /// From the overload row: share of requests shed with `Busy` when the
-    /// offered load exceeds the admission queue. Evidence the server
-    /// degrades by rejecting, not by queueing without bound.
-    pub rejection_rate: f64,
-    /// Connections still open after every client closed and the servers
-    /// shut down. Anything nonzero is a leak; the gate holds it at 0.
-    pub stuck_connections: u64,
-    /// Protocol errors across the whole run. The bench speaks the
-    /// protocol correctly, so anything nonzero is a framing bug; the
-    /// gate holds it at 0.
-    pub protocol_errors: u64,
-}
-
-/// Exact percentile over a sorted latency sample.
-fn exact_pct(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx]
-}
-
-/// Drives one closed-loop row: every connection keeps `depth` count
-/// queries in flight until it has completed its share of `total`.
-/// Returns (latencies ns, busy, errors, wall secs).
-fn drive_closed_loop(
-    addr: std::net::SocketAddr,
-    connections: usize,
-    depth: usize,
-    per_conn: usize,
-    subgoals: usize,
-) -> (Vec<u64>, u64, u64, f64) {
-    use std::collections::VecDeque;
-    use xsb_server::{Outcome, RemoteConn};
-    let t0 = Instant::now();
-    let handles: Vec<_> = (0..connections)
-        .map(|c| {
-            std::thread::spawn(move || {
-                let mut conn = RemoteConn::connect(addr).expect("bench client connects");
-                let mut latencies = Vec::with_capacity(per_conn);
-                let mut busy = 0u64;
-                let mut errors = 0u64;
-                let mut sent = 0usize;
-                let mut inflight: VecDeque<(u64, Instant)> = VecDeque::new();
-                let goal = |i: usize| {
-                    // spread connections across subgoals so the pool
-                    // serves a mixed (but warm) working set
-                    format!("path({}, X)", 1 + (c + i) % subgoals)
-                };
-                while sent < per_conn.min(depth) {
-                    let id = conn.send_count(&goal(sent)).expect("send");
-                    inflight.push_back((id, Instant::now()));
-                    sent += 1;
-                }
-                while let Some((id, at)) = inflight.pop_front() {
-                    match conn.wait(id).expect("bench request completes") {
-                        Outcome::Complete { .. } => latencies.push(at.elapsed().as_nanos() as u64),
-                        Outcome::Busy => busy += 1,
-                        Outcome::Error(_) => errors += 1,
-                    }
-                    if sent < per_conn {
-                        let id = conn.send_count(&goal(sent)).expect("send");
-                        inflight.push_back((id, Instant::now()));
-                        sent += 1;
-                    }
-                }
-                conn.close();
-                (latencies, busy, errors)
-            })
-        })
-        .collect();
-    let mut latencies = Vec::new();
-    let mut busy = 0;
-    let mut errors = 0;
-    for h in handles {
-        let (l, b, e) = h.join().expect("bench client thread");
-        latencies.extend(l);
-        busy += b;
-        errors += e;
-    }
-    (latencies, busy, errors, secs(t0.elapsed()))
-}
-
-pub fn run_serving_net(quick: bool) -> NetServingReport {
-    use xsb_core::PoolConfig;
-    use xsb_server::{Driver, Outcome, RemoteConn, Server, ServerConfig};
-
-    let n: i64 = if quick { 64 } else { 128 };
-    let subgoals = 4usize;
-    let per_conn = if quick { 40 } else { 200 };
-    // single-core CI containers serve everything through 1-2 workers;
-    // connection counts stay small so the sweep measures the wire and
-    // scheduler, not thread thrash
-    let configs: &[(usize, usize)] = if quick {
-        &[(1, 1), (2, 4)]
-    } else {
-        &[(1, 1), (2, 2), (4, 4)]
-    };
-
-    let src = pool_program(n);
-    let server = Server::start(
-        &src,
-        ServerConfig {
-            pool: PoolConfig {
-                workers: 2,
-                ..PoolConfig::default()
-            },
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bench server starts");
-    let addr = server.addr();
-
-    // warm every subgoal's table first: the sweep measures wire + serving
-    // overhead over completed tables, not first-call evaluation
-    {
-        let mut warm = RemoteConn::connect(addr).expect("warmup client connects");
-        for k in 1..=subgoals {
-            assert_eq!(
-                warm.count(&format!("path({k}, X)")).expect("warmup query"),
-                n as u64,
-                "cycle closure is total"
-            );
-        }
-        warm.close();
-    }
-
-    let mut rows = Vec::new();
-    for &(connections, depth) in configs {
-        let (mut latencies, busy, errors, wall) =
-            drive_closed_loop(addr, connections, depth, per_conn, subgoals);
-        latencies.sort_unstable();
-        rows.push(NetServingRow {
-            connections,
-            depth,
-            requests: latencies.len() as u64,
-            qps: latencies.len() as f64 / wall.max(1e-9),
-            p50_ns: exact_pct(&latencies, 0.50),
-            p99_ns: exact_pct(&latencies, 0.99),
-            busy,
-            errors,
-        });
-    }
-    let net_errors: u64 = rows.iter().map(|r| r.errors).sum();
-    let closed_loop_busy: u64 = rows.iter().map(|r| r.busy).sum();
-    assert_eq!(
-        closed_loop_busy, 0,
-        "unbounded-queue sweep must never see Busy"
-    );
-    let main_stats = server.stats();
-    let mut stuck = server.shutdown() as u64;
-    let mut protocol_errors = main_stats.protocol_errors;
-
-    // overload: a separate server with a tiny admission queue, hit with
-    // a burst far deeper than the queue — the surplus must come back as
-    // typed Busy (shed), not wait in an unbounded line
-    let overload_server = Server::start(
-        &src,
-        ServerConfig {
-            pool: PoolConfig {
-                workers: 1,
-                queue_depth: Some(2),
-                ..PoolConfig::default()
-            },
-            ..ServerConfig::default()
-        },
-    )
-    .expect("overload server starts");
-    let mut c = RemoteConn::connect(overload_server.addr()).expect("overload client");
-    let burst = 16;
-    let ids: Vec<u64> = (0..burst)
-        // cold heavy goal on the fresh pool keeps the worker busy while
-        // the rest of the burst lands
-        .map(|_| c.send_count("path(X, Y)").expect("overload send"))
-        .collect();
-    let mut shed = 0u64;
-    let mut ran = 0u64;
-    for id in ids {
-        match c.wait(id).expect("overload harvest") {
-            Outcome::Busy => shed += 1,
-            Outcome::Complete { .. } => ran += 1,
-            Outcome::Error(_) => protocol_errors += 1, // engine errors are bugs here too
-        }
-    }
-    c.close();
-    let overload_stats = overload_server.stats();
-    stuck += overload_server.shutdown() as u64;
-    protocol_errors += overload_stats.protocol_errors;
-    assert!(ran >= 1, "overload burst must still complete some work");
-    let rejection_rate = shed as f64 / burst as f64;
-
-    let last = rows.last().expect("at least one load configuration");
-    NetServingReport {
-        n,
-        qps: last.qps,
-        p50_ns: last.p50_ns,
-        p99_ns: last.p99_ns,
-        rejection_rate,
-        stuck_connections: stuck,
-        protocol_errors: protocol_errors + net_errors,
-        rows,
-    }
-}
-
-#[cfg(test)]
-mod serving_net_tests {
-    use super::*;
-
-    #[test]
-    fn serving_net_report_is_healthy_end_to_end() {
-        let r = run_serving_net(true);
-        assert_eq!(r.rows.len(), 2, "{r:?}");
-        for row in &r.rows {
-            assert_eq!(row.requests, (row.connections * 40) as u64, "{r:?}");
-            assert!(row.qps > 0.0, "{r:?}");
-            assert!(row.p50_ns > 0 && row.p50_ns <= row.p99_ns, "{r:?}");
-            assert_eq!(row.busy, 0, "{r:?}");
-            assert_eq!(row.errors, 0, "{r:?}");
-        }
-        assert!(r.qps > 0.0);
-        assert!(
-            r.rejection_rate > 0.0,
-            "overload burst must shed something: {r:?}"
-        );
-        assert_eq!(r.stuck_connections, 0, "{r:?}");
-        assert_eq!(r.protocol_errors, 0, "{r:?}");
-    }
 }

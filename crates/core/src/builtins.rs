@@ -79,7 +79,6 @@ pub enum Builtin {
     AbolishTablePred,
     AbolishTableCall,
     SetTableBudget,
-    SetFusion,
     // durability (DESIGN.md §2.11)
     SetDurability,
     SetGroupCommit,
@@ -181,7 +180,6 @@ impl Builtin {
             ("abolish_table_pred", 1, Builtin::AbolishTablePred),
             ("abolish_table_call", 1, Builtin::AbolishTableCall),
             ("set_table_budget", 1, Builtin::SetTableBudget),
-            ("set_fusion", 1, Builtin::SetFusion),
             ("set_durability", 1, Builtin::SetDurability),
             ("set_group_commit", 1, Builtin::SetGroupCommit),
             ("checkpoint", 0, Builtin::Checkpoint0),
@@ -390,23 +388,6 @@ pub fn exec_builtin(
             m.tables.set_budget(budget);
             if let Some(h) = m.tables.shared_handle() {
                 h.store.set_budget(budget);
-            }
-            Ok(BAction::Continue)
-        }
-        Builtin::SetFusion => {
-            // affects code compiled after the call (including subsequent
-            // queries); already-compiled predicates keep their shape
-            let v = m.deref(m.x[0]);
-            let name = (v.tag() == Tag::Con).then(|| syms.name(v.sym()).to_string());
-            match name.as_deref() {
-                Some("on") => m.db.fusion_enabled = true,
-                Some("off") => m.db.fusion_enabled = false,
-                _ => {
-                    return Err(EngineError::Type {
-                        expected: "'on' or 'off'",
-                        found: format!("{v:?}"),
-                    })
-                }
             }
             Ok(BAction::Continue)
         }

@@ -450,6 +450,8 @@ struct LogInner {
     /// commit points appended but not yet covered by an fsync
     unsynced_commits: u64,
     first_unsynced: Option<Instant>,
+    /// high-water mark of fsynced bytes
+    flushed_lsn: u64,
     /// transactions with a Begin on the log and no Commit/Abort yet
     active_txs: HashSet<u64>,
     /// retained consulted sources, replayed on checkpoint truncation
@@ -474,10 +476,6 @@ impl LogInner {
 pub struct DurableLog {
     inner: Mutex<LogInner>,
     next_tx: AtomicU64,
-    /// high-water mark of fsynced bytes — shared with
-    /// [`xsb_storage::WalLink`] so the buffer pool can enforce
-    /// WAL-before-data.
-    flushed_lsn: Arc<AtomicU64>,
 }
 
 fn ioerr(e: &str) -> io::Error {
@@ -520,9 +518,9 @@ impl DurableLog {
                 _ => {}
             }
         }
-        let flushed = Arc::new(AtomicU64::new(wal.size()));
         Ok(DurableLog {
             inner: Mutex::new(LogInner {
+                flushed_lsn: wal.size(),
                 wal,
                 window_us: 0,
                 unsynced_commits: 0,
@@ -532,7 +530,6 @@ impl DurableLog {
                 broadcasts,
             }),
             next_tx: AtomicU64::new(max_tx + 1),
-            flushed_lsn: flushed,
         })
     }
 
@@ -566,12 +563,6 @@ impl DurableLog {
     /// Current log size in bytes (also the LSN the next record will get).
     pub fn size(&self) -> u64 {
         self.inner.lock().unwrap().wal.size()
-    }
-
-    /// Shared fsync high-water mark, for wiring a
-    /// [`xsb_storage::WalLink`] into a buffer pool.
-    pub fn flushed_lsn_handle(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.flushed_lsn)
     }
 
     /// Appends an encoded record. `commit_point` marks records after which
@@ -626,7 +617,7 @@ impl DurableLog {
             }
         }
         if fsynced {
-            self.flushed_lsn.store(inner.wal.size(), Ordering::Release);
+            inner.flushed_lsn = inner.wal.size();
         }
         Ok(Ack {
             lsn,
@@ -649,13 +640,11 @@ impl DurableLog {
     /// commits_covered)`.
     pub fn flush(&self) -> io::Result<(bool, u64)> {
         let mut inner = self.inner.lock().unwrap();
-        if inner.unsynced_commits == 0
-            && inner.wal.size() == self.flushed_lsn.load(Ordering::Acquire)
-        {
+        if inner.unsynced_commits == 0 && inner.wal.size() == inner.flushed_lsn {
             return Ok((false, 0));
         }
         let r = inner.force()?;
-        self.flushed_lsn.store(inner.wal.size(), Ordering::Release);
+        inner.flushed_lsn = inner.wal.size();
         Ok(r)
     }
 
@@ -695,7 +684,7 @@ impl DurableLog {
         inner.unsynced_commits = 0;
         inner.first_unsynced = None;
         let after = inner.wal.size();
-        self.flushed_lsn.store(after, Ordering::Release);
+        inner.flushed_lsn = after;
         Ok((before, after))
     }
 }

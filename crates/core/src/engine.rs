@@ -101,10 +101,8 @@ impl Engine {
 
     /// Like [`Engine::new`], but with superinstruction fusion set *before*
     /// the prelude is consulted — `with_fusion(false)` yields a fully
-    /// unfused baseline engine (the prelude itself compiles unfused),
-    /// which the fused-vs-unfused differential tests and benchmarks rely
-    /// on. `set_fusion` after construction only affects code compiled
-    /// later.
+    /// unfused reference engine (the prelude itself compiles unfused),
+    /// which the fused-vs-unfused differential tests compare against.
     pub fn with_fusion(fusion: bool) -> Engine {
         let mut syms = SymbolTable::new();
         let mut db = Program::new(&mut syms);
@@ -121,13 +119,6 @@ impl Engine {
         };
         e.consult(PRELUDE).expect("prelude compiles");
         e
-    }
-
-    /// Enables/disables the post-compile superinstruction fusion pass for
-    /// code compiled from now on (matching the `set_fusion/1` builtin).
-    /// Already-compiled predicates keep their current shape.
-    pub fn set_fusion(&mut self, on: bool) {
-        self.db.fusion_enabled = on;
     }
 
     /// Limits each query to at most `limit` abstract machine steps
@@ -1054,8 +1045,8 @@ impl Engine {
         s
     }
 
-    /// Snapshot of every scalar metric as a JSON object (the harness
-    /// `--json` payload), plus the trace ring's truncation counters:
+    /// Snapshot of every scalar metric as a JSON object, plus the trace
+    /// ring's truncation counters:
     /// `trace_events_total` is every event ever pushed,
     /// `trace_events_dropped` the oldest ones overwritten because the
     /// ring was full (the buffer keeps the most recent `capacity`).

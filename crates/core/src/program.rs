@@ -83,11 +83,11 @@ pub struct Program {
     /// Worker count of the engine pool this program serves (0 = not in a
     /// pool). Reported by the `pool_workers/1` builtin.
     pub pool_workers: u32,
-    /// Superinstruction fusion toggle (`set_fusion/1`). When on (the
-    /// default), [`Program::fuse_range`] peephole-rewrites freshly compiled
-    /// code; when off, newly compiled code stays unfused — the baseline the
-    /// differential tests compare against. Already-compiled code is never
-    /// rewritten by the toggle.
+    /// Superinstruction fusion, fixed at construction. When on (every
+    /// engine but the reference one), [`Program::fuse_range`]
+    /// peephole-rewrites freshly compiled code; off only for
+    /// `Engine::with_fusion(false)`, the unfused reference the
+    /// differential tests compare against.
     pub fusion_enabled: bool,
     /// Write-ahead-log attachment; `None` for purely in-memory engines.
     pub durable: Option<crate::durable::DurableConn>,

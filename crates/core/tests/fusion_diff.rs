@@ -149,20 +149,6 @@ fn fusion_actually_reduces_dispatches() {
     );
 }
 
-#[test]
-fn set_fusion_builtin_toggles_compilation_of_later_code() {
-    let mut e = Engine::new();
-    assert!(e.db.fusion_enabled);
-    assert!(e.holds("set_fusion(off)").unwrap());
-    assert!(!e.db.fusion_enabled);
-    // code consulted now compiles unfused but still runs correctly
-    e.consult("edge(1,2). edge(2,3).").unwrap();
-    assert_eq!(e.count("edge(X,Y)").unwrap(), 2);
-    assert!(e.holds("set_fusion(on)").unwrap());
-    assert!(e.db.fusion_enabled);
-    assert!(e.holds("set_fusion(nonsense)").is_err());
-}
-
 // ---------------------------------------------------------------------
 // structural property test: fusion never loses or moves code
 // ---------------------------------------------------------------------

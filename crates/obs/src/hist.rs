@@ -10,9 +10,7 @@
 //!
 //! Histograms are plain counters: they merge by bucketwise addition
 //! (associative and commutative, the pool-aggregation requirement) and
-//! subtract by bucketwise saturating difference ([`Histogram::diff`],
-//! used by the bench harness to carve per-phase distributions out of
-//! cumulative snapshots).
+//! subtract by bucketwise saturating difference ([`Histogram::diff`]).
 
 use crate::json::Json;
 

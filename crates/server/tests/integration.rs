@@ -113,6 +113,76 @@ fn pipelined_requests_demux_by_id_in_any_order() {
 }
 
 #[test]
+fn concurrent_connections_each_pipelining_complete_without_busy() {
+    // 2 connections, each keeping 4 count requests in flight until it has
+    // completed 40, against an unbounded admission queue: nothing may be
+    // shed, fail, or corrupt a frame
+    const N: u64 = 64;
+    const CONNECTIONS: usize = 2;
+    const DEPTH: usize = 4;
+    const PER_CONN: usize = 40;
+    const SUBGOALS: usize = 4;
+    let mut program = String::from(
+        ":- table path/2.\npath(X,Y) :- edge(X,Y).\npath(X,Y) :- path(X,Z), edge(Z,Y).\n",
+    );
+    for i in 1..=N {
+        program.push_str(&format!("edge({i}, {}).\n", i % N + 1));
+    }
+    let config = ServerConfig {
+        pool: PoolConfig {
+            workers: 2,
+            ..PoolConfig::default()
+        },
+        ..ServerConfig::default()
+    };
+    let server = Server::start(&program, config).unwrap();
+    let addr = server.addr();
+
+    // warm every subgoal's table first
+    let mut warm = RemoteConn::connect(addr).unwrap();
+    for k in 1..=SUBGOALS {
+        assert_eq!(warm.count(&format!("path({k}, X)")).unwrap(), N);
+    }
+    warm.close();
+
+    let clients: Vec<_> = (0..CONNECTIONS)
+        .map(|c| {
+            std::thread::spawn(move || {
+                let mut conn = RemoteConn::connect(addr).unwrap();
+                let goal = |i: usize| format!("path({}, X)", 1 + (c + i) % SUBGOALS);
+                let mut inflight = std::collections::VecDeque::new();
+                let mut sent = 0;
+                while sent < DEPTH {
+                    inflight.push_back(conn.send_count(&goal(sent)).unwrap());
+                    sent += 1;
+                }
+                let mut completed = 0;
+                while let Some(id) = inflight.pop_front() {
+                    match conn.wait(id).unwrap() {
+                        Outcome::Complete { completion, .. } => {
+                            assert_eq!(completion.count, N);
+                            completed += 1;
+                        }
+                        other => panic!("connection {c}: expected completion, got {other:?}"),
+                    }
+                    if sent < PER_CONN {
+                        inflight.push_back(conn.send_count(&goal(sent)).unwrap());
+                        sent += 1;
+                    }
+                }
+                conn.close();
+                completed
+            })
+        })
+        .collect();
+    for client in clients {
+        assert_eq!(client.join().unwrap(), PER_CONN);
+    }
+    assert_eq!(server.stats().protocol_errors, 0);
+    assert_eq!(server.shutdown(), 0);
+}
+
+#[test]
 fn overflow_is_shed_with_typed_busy() {
     // a 48-node cycle: path(X,Y) has 48*48 answers, milliseconds of
     // work — a wall that keeps the single worker busy while the

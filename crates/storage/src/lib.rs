@@ -1,17 +1,6 @@
-//! # xsb-storage — persistent-store substrate
+//! # xsb-storage — the engine's write-ahead log
 //!
-//! Two roles from the paper:
-//!
-//! * **§4.6 (Interface with Persistent Store):** backing stores for the
-//!   bulk-load paths (the load drivers themselves live in `xsb-bench`,
-//!   since they drive an `Engine` and this crate sits *below* the engine).
-//! * **§5 Table 3 (the Sybase column):** a page/buffer-pool relational
-//!   executor whose every tuple access pays buffer-management and latching
-//!   costs ([`page`], [`buffer`], [`heap`], [`hashindex`], [`executor`]) —
-//!   the substitution for the unavailable commercial RDBMS, exercising the
-//!   same per-access overheads the paper attributes the ~100× factor to.
-//!
-//! Durability substrate (the engine's WAL is layered on top):
+//! The durability substrate under `xsb-core`'s durable EDB:
 //!
 //! * [`log`] — append-only write-ahead log framing (length-prefixed,
 //!   checksummed records, LSN = byte offset) over a [`log::Vfs`] backing
@@ -19,16 +8,8 @@
 //! * [`failpoint`] — deterministic fault injection ([`failpoint::FailpointFs`]):
 //!   kill-at-byte, torn final sector, dropped fsyncs, crash images.
 
-pub mod buffer;
-pub mod executor;
 pub mod failpoint;
-pub mod hashindex;
-pub mod heap;
 pub mod log;
-pub mod page;
 
-pub use buffer::{BufferPool, Disk, PageId, WalLink};
-pub use executor::{client_server_join, index_nested_loop_join, Table};
 pub use failpoint::{shared_failpoint, CrashMode, FailpointFs, SharedFailpoint};
-pub use heap::{Field, HeapFile, Rid};
 pub use log::{scan_records, FileVfs, MemVfs, Vfs, Wal};
