@@ -493,18 +493,18 @@ pub fn exec_builtin(
         }
         Builtin::SetSlowQueryThreshold => {
             let v = m.deref(m.x[0]);
-            if v.tag() == Tag::Con && syms.name(v.sym()) == "off" {
-                m.obs.slow_query_threshold_ns = None;
+            let threshold = if v.tag() == Tag::Con && syms.name(v.sym()) == "off" {
+                None
             } else if v.tag() == Tag::Int && v.int_value() >= 0 {
                 // integer milliseconds; 0 logs every query
-                m.obs.slow_query_threshold_ns = Some(v.int_value() as u64 * 1_000_000);
+                Some(v.int_value() as u64 * 1_000_000)
             } else {
                 return Err(EngineError::Type {
                     expected: "milliseconds (integer >= 0) or 'off'",
                     found: format!("{v:?}"),
                 });
-            }
-            m.obs.spans.enabled = m.obs.trace.enabled || m.obs.slow_query_threshold_ns.is_some();
+            };
+            m.obs.configure(m.obs.trace.enabled, threshold);
             Ok(BAction::Continue)
         }
         Builtin::WriteB => {
@@ -1049,23 +1049,9 @@ fn builtin_abolish_table_pred(m: &mut Machine, syms: &SymbolTable) -> Result<BAc
             syms.name(f)
         )));
     }
-    let removed = m.tables.invalidate_pred(pred);
-    if removed > 0 {
-        m.obs
-            .metrics
-            .add(Counter::TableInvalidations, removed as u64);
-        if m.obs.trace.enabled {
-            m.obs.trace.push(SlgEvent::TableInvalidated { pred });
-        }
-    }
     // other pool workers may hold tables for this predicate regardless of
     // what this worker removed locally
-    let shared = m.tables.shared_invalidate(&[pred]);
-    if shared > 0 {
-        m.obs
-            .metrics
-            .add(Counter::SharedTableInvalidations, shared as u64);
-    }
+    crate::emulate::invalidate_tables(m.tables, &mut m.obs, &[pred]);
     Ok(BAction::Continue)
 }
 

@@ -16,12 +16,12 @@ use crate::compile::compile_query;
 use crate::error::EngineError;
 use crate::instr::{CodePtr, Instr, PredId};
 use crate::machine::{Alt, Machine, NONE};
-use crate::program::PredKind;
+use crate::program::{PredKind, Program};
 use crate::shared::SharedFrame;
-use crate::table::{GenMode, NegMode, NegSusp, SharedClaim, SubgoalId, SubgoalState};
+use crate::table::{GenMode, NegMode, NegSusp, SharedClaim, SubgoalId, SubgoalState, TableSpace};
 use std::rc::Rc;
 use std::sync::Arc;
-use xsb_obs::{Counter, SlgEvent, Stopwatch};
+use xsb_obs::{Counter, Obs, SlgEvent, Stopwatch};
 use xsb_syntax::{well_known, SymbolTable};
 
 /// Result of running the machine.
@@ -957,30 +957,7 @@ impl Machine<'_> {
     /// consistency hook. Completed tables are freed immediately;
     /// incomplete ones are freed at `end_query`.
     pub fn invalidate_dependents(&mut self, pred: PredId) {
-        let deps = self.db.tabled_dependents(pred);
-        // assert/retract during a query is never a pool broadcast: if it
-        // reaches a shared-floor predicate, this worker's EDB has
-        // diverged and it detaches from answer sharing
-        self.tables.note_local_mutation(pred, &deps);
-        for &dep in &deps {
-            let n = self.tables.invalidate_pred(dep);
-            if n > 0 {
-                self.obs.metrics.add(Counter::TableInvalidations, n as u64);
-                if self.obs.trace.enabled {
-                    self.obs
-                        .trace
-                        .push(SlgEvent::TableInvalidated { pred: dep });
-                }
-            }
-        }
-        // push the same invalidation pool-wide so other workers drop the
-        // affected tables at their next sync
-        let shared = self.tables.shared_invalidate(&deps);
-        if shared > 0 {
-            self.obs
-                .metrics
-                .add(Counter::SharedTableInvalidations, shared as u64);
-        }
+        invalidate_dependents(self.db, self.tables, &mut self.obs, pred);
     }
 
     /// Materializes a pool-published frame locally, with the import
@@ -2131,4 +2108,45 @@ impl Machine<'_> {
         };
         Ok(self.unify(pattern, target))
     }
+}
+
+/// The assert/retract → table consistency hook, shared by queries
+/// ([`Machine`]) and the engine API: invalidates every tabled predicate
+/// that (transitively) depends on the changed predicate `pred`.
+pub(crate) fn invalidate_dependents(
+    db: &Program,
+    tables: &mut TableSpace,
+    obs: &mut Obs,
+    pred: PredId,
+) {
+    let deps = db.tabled_dependents(pred);
+    // unless this is a pool broadcast (`Engine::consult_broadcast`), a
+    // mutation reaching a shared-floor predicate diverges this worker's
+    // EDB and detaches it from answer sharing
+    tables.note_local_mutation(pred, &deps);
+    invalidate_tables(tables, obs, &deps);
+}
+
+/// Drops the local tables of `preds` — completed ones immediately,
+/// incomplete ones at `end_query` — and pushes the same invalidation
+/// pool-wide, so other workers drop theirs at their next sync. Returns
+/// the number of local tables removed.
+pub(crate) fn invalidate_tables(tables: &mut TableSpace, obs: &mut Obs, preds: &[PredId]) -> usize {
+    let mut removed = 0;
+    for &pred in preds {
+        let n = tables.invalidate_pred(pred);
+        if n > 0 {
+            obs.metrics.add(Counter::TableInvalidations, n as u64);
+            if obs.trace.enabled {
+                obs.trace.push(SlgEvent::TableInvalidated { pred });
+            }
+        }
+        removed += n;
+    }
+    let shared = tables.shared_invalidate(preds);
+    if shared > 0 {
+        obs.metrics
+            .add(Counter::SharedTableInvalidations, shared as u64);
+    }
+    removed
 }

@@ -47,6 +47,34 @@ impl Solution {
     }
 }
 
+/// One solution as [`Engine`]'s query driver reports it: still on the
+/// machine's heap, decoded only if the callback asks.
+pub(crate) struct Derived<'a> {
+    machine: &'a Machine<'a>,
+    vars: &'a [Cell],
+    names: &'a [String],
+    /// the engine's symbol table, for rendering decoded terms
+    pub(crate) syms: &'a SymbolTable,
+}
+
+impl<'a> Derived<'a> {
+    /// The query's named variables with their bindings decoded to AST
+    /// terms, in query order.
+    pub(crate) fn bindings(&self) -> impl Iterator<Item = (&'a String, Term)> + '_ {
+        self.names
+            .iter()
+            .zip(self.vars)
+            .filter(|(name, _)| *name != "_")
+            .map(|(name, &var)| (name, self.machine.heap_to_ast(var, &mut Vec::new())))
+    }
+
+    /// The bindings as an owned [`Solution`].
+    pub(crate) fn solution(&self) -> Solution {
+        let bindings = self.bindings().map(|(n, t)| (n.clone(), t)).collect();
+        Solution { bindings }
+    }
+}
+
 /// Library predicates consulted into every engine at startup.
 const PRELUDE: &str = r#"
 append([], L, L).
@@ -221,7 +249,7 @@ impl Engine {
         match d {
             // table p/2  /  table (p/2, q/3)
             Term::Compound(f, args) if *f == well_known::TABLE && args.len() == 1 => {
-                for spec in flatten_commas(&args[0]) {
+                for spec in args[0].conjuncts() {
                     let (name, arity) = pred_indicator(spec)
                         .ok_or_else(|| EngineError::Other("table directive expects p/N".into()))?;
                     self.db
@@ -231,7 +259,7 @@ impl Engine {
                 Ok(())
             }
             Term::Compound(f, args) if *f == well_known::DYNAMIC && args.len() == 1 => {
-                for spec in flatten_commas(&args[0]) {
+                for spec in args[0].conjuncts() {
                     let (name, arity) = pred_indicator(spec).ok_or_else(|| {
                         EngineError::Other("dynamic directive expects p/N".into())
                     })?;
@@ -245,7 +273,7 @@ impl Engine {
                 self.db.apply_index_directive(d).map_err(EngineError::Other)
             }
             Term::Compound(f, args) if *f == well_known::FIRST_STRING && args.len() == 1 => {
-                for spec in flatten_commas(&args[0]) {
+                for spec in args[0].conjuncts() {
                     let (name, arity) = pred_indicator(spec).ok_or_else(|| {
                         EngineError::Other("first_string_index expects p/N".into())
                     })?;
@@ -275,6 +303,43 @@ impl Engine {
         q: &str,
         mut f: impl FnMut(&Solution) -> bool,
     ) -> Result<(), EngineError> {
+        self.drive(q, |d| f(&d.solution())).map(drop)
+    }
+
+    /// All solutions of a query.
+    pub fn query(&mut self, q: &str) -> Result<Vec<Solution>, EngineError> {
+        let mut out = Vec::new();
+        self.drive(q, |d| {
+            out.push(d.solution());
+            true
+        })?;
+        Ok(out)
+    }
+
+    /// True iff the query has at least one solution.
+    pub fn holds(&mut self, q: &str) -> Result<bool, EngineError> {
+        Ok(self.drive(q, |_| false)? > 0)
+    }
+
+    /// Number of solutions (driving the query to exhaustion, like the
+    /// paper's `?- path(1,X), fail.` timing harness). Does not decode
+    /// bindings — this is the tuple-at-a-time fail-loop fast path.
+    pub fn count(&mut self, q: &str) -> Result<usize, EngineError> {
+        Ok(self.drive(q, |_| true)? as usize)
+    }
+
+    /// The one query driver: parse, HiLog-encode, compile and run `q`,
+    /// handing each solution to `on_solution` as it is derived (`false`
+    /// stops the query), then end the query's tables, enforce the budget,
+    /// publish to the shared store and close the query's observability.
+    /// Returns the number of solutions handed out. Bindings are decoded
+    /// only when the callback asks ([`Derived::solution`]), so a callback
+    /// that never does keeps the fail-loop fast path.
+    pub(crate) fn drive(
+        &mut self,
+        q: &str,
+        mut on_solution: impl FnMut(&Derived<'_>) -> bool,
+    ) -> Result<u64, EngineError> {
         self.sync_shared_tables();
         let query = parse_query(q, &mut self.syms, &self.reader.ops)?;
         let goals: Vec<Term> = query
@@ -292,20 +357,18 @@ impl Engine {
         let sw = Stopwatch::new();
         let vars = machine.setup_query(qpred, nvars);
 
-        let mut nsol: u64 = 0;
+        let mut n: u64 = 0;
         let result = (|| -> Result<(), EngineError> {
             let mut outcome = machine.run(&mut self.syms)?;
             while outcome == Outcome::Solution {
-                nsol += 1;
-                let mut bindings = Vec::new();
-                for (i, name) in query.var_names.iter().enumerate() {
-                    if name == "_" {
-                        continue;
-                    }
-                    let mut var_out = Vec::new();
-                    bindings.push((name.clone(), machine.heap_to_ast(vars[i], &mut var_out)));
-                }
-                if !f(&Solution { bindings }) {
+                n += 1;
+                let derived = Derived {
+                    machine: &machine,
+                    vars: &vars,
+                    names: &query.var_names,
+                    syms: &self.syms,
+                };
+                if !on_solution(&derived) {
                     break;
                 }
                 outcome = machine.next_solution(&mut self.syms)?;
@@ -321,76 +384,8 @@ impl Engine {
         self.tables.end_query();
         self.enforce_table_budget();
         self.publish_shared_tables();
-        self.finish_query_obs(qspan, elapsed_ns, nsol);
-        result
-    }
-
-    /// All solutions of a query.
-    pub fn query(&mut self, q: &str) -> Result<Vec<Solution>, EngineError> {
-        let mut out = Vec::new();
-        self.run_query(q, |s| {
-            out.push(s.clone());
-            true
-        })?;
-        Ok(out)
-    }
-
-    /// True iff the query has at least one solution.
-    pub fn holds(&mut self, q: &str) -> Result<bool, EngineError> {
-        Ok(self.run_counting(q, true)? > 0)
-    }
-
-    /// Number of solutions (driving the query to exhaustion, like the
-    /// paper's `?- path(1,X), fail.` timing harness). Does not decode
-    /// bindings — this is the tuple-at-a-time fail-loop fast path.
-    pub fn count(&mut self, q: &str) -> Result<usize, EngineError> {
-        self.run_counting(q, false)
-    }
-
-    /// Shared driver for [`Engine::holds`] / [`Engine::count`]: runs the
-    /// query without constructing [`Solution`] values.
-    fn run_counting(&mut self, q: &str, stop_at_first: bool) -> Result<usize, EngineError> {
-        self.sync_shared_tables();
-        let query = parse_query(q, &mut self.syms, &self.reader.ops)?;
-        let goals: Vec<Term> = query
-            .goals
-            .iter()
-            .map(|g| self.reader.hilog.encode(g))
-            .collect();
-        let nvars = query.var_names.len() as u32;
-        let qpred = compile_query(&mut self.db, &mut self.syms, &goals, nvars)?;
-
-        let qspan = self.obs.spans.begin("query", NO_ID);
-        let mut machine = Machine::new(&mut self.db, &mut self.tables);
-        machine.step_limit = self.step_limit;
-        machine.obs = std::mem::take(&mut self.obs);
-        let sw = Stopwatch::new();
-        machine.setup_query(qpred, nvars);
-
-        let result = (|| -> Result<usize, EngineError> {
-            let mut n = 0usize;
-            let mut outcome = machine.run(&mut self.syms)?;
-            while outcome == Outcome::Solution {
-                n += 1;
-                if stop_at_first {
-                    break;
-                }
-                outcome = machine.next_solution(&mut self.syms)?;
-            }
-            Ok(n)
-        })();
-
-        let elapsed_ns = sw.elapsed_nanos();
-        machine.obs.metrics.query_time.record(sw);
-        machine.obs.metrics.query_latency.record(elapsed_ns);
-        self.obs = std::mem::take(&mut machine.obs);
-        drop(machine);
-        self.tables.end_query();
-        self.enforce_table_budget();
-        self.publish_shared_tables();
-        let answers = result.as_ref().copied().unwrap_or(0) as u64;
-        self.finish_query_obs(qspan, elapsed_ns, answers);
-        result
+        self.finish_query_obs(qspan, elapsed_ns, n);
+        result.map(|()| n)
     }
 
     /// Catches up with invalidations other pool workers pushed since this
@@ -495,28 +490,7 @@ impl Engine {
     /// invalidates the tables of every tabled predicate that (transitively)
     /// depends on `pred`.
     fn invalidate_dependents(&mut self, pred: PredId) {
-        let deps = self.db.tabled_dependents(pred);
-        // unless this is a pool broadcast (`consult_broadcast`), a
-        // mutation reaching a shared-floor predicate diverges this
-        // worker's EDB and detaches it from answer sharing
-        self.tables.note_local_mutation(pred, &deps);
-        for &dep in &deps {
-            let n = self.tables.invalidate_pred(dep);
-            if n > 0 {
-                self.obs.metrics.add(Counter::TableInvalidations, n as u64);
-                if self.obs.trace.enabled {
-                    self.obs
-                        .trace
-                        .push(SlgEvent::TableInvalidated { pred: dep });
-                }
-            }
-        }
-        let shared = self.tables.shared_invalidate(&deps);
-        if shared > 0 {
-            self.obs
-                .metrics
-                .add(Counter::SharedTableInvalidations, shared as u64);
-        }
+        crate::emulate::invalidate_dependents(&self.db, &mut self.tables, &mut self.obs, pred);
     }
 
     // ------------------------------------------------------------------
@@ -644,22 +618,9 @@ impl Engine {
         let Some(pred) = self.db.lookup_pred(s, arity) else {
             return 0;
         };
-        let n = self.tables.invalidate_pred(pred);
-        if n > 0 {
-            self.obs.metrics.add(Counter::TableInvalidations, n as u64);
-            if self.obs.trace.enabled {
-                self.obs.trace.push(SlgEvent::TableInvalidated { pred });
-            }
-        }
         // other workers may hold tables for this predicate even when this
-        // one does not: always push the abolish pool-wide
-        let shared = self.tables.shared_invalidate(&[pred]);
-        if shared > 0 {
-            self.obs
-                .metrics
-                .add(Counter::SharedTableInvalidations, shared as u64);
-        }
-        n
+        // one does not: the abolish always goes pool-wide
+        crate::emulate::invalidate_tables(&mut self.tables, &mut self.obs, &[pred])
     }
 
     /// Sets the table-space answer-store budget in cells (`None` =
@@ -1013,8 +974,8 @@ impl Engine {
     /// Enables/disables SLG event tracing and span collection (disabled
     /// cost: one branch per traced operation).
     pub fn set_tracing(&mut self, enabled: bool) {
-        self.obs.trace.enabled = enabled;
-        self.obs.spans.enabled = enabled || self.obs.slow_query_threshold_ns.is_some();
+        self.obs
+            .configure(enabled, self.obs.slow_query_threshold_ns);
     }
 
     /// Resizes the trace ring buffer (discards buffered events).
@@ -1072,7 +1033,7 @@ impl Engine {
     }
 
     /// The `profile/0` report: hottest opcodes and adjacent dispatch
-    /// pairs since the last [`Engine::reset_profile`].
+    /// pairs since the last `profile_reset/0`.
     pub fn profile_report(&self) -> String {
         self.obs
             .metrics
@@ -1088,19 +1049,6 @@ impl Engine {
             .to_json(&crate::instr::Instr::OPCODE_NAMES)
     }
 
-    /// Zeroes profile samples, keeping the toggle (`profile_reset/0`).
-    pub fn reset_profile(&mut self) {
-        self.obs.metrics.profile.reset();
-    }
-
-    /// Sets the slow-query threshold (`None` disables, `Some(0)` logs
-    /// every query). A set threshold implies span collection even with
-    /// tracing off.
-    pub fn set_slow_query_threshold_ns(&mut self, t: Option<u64>) {
-        self.obs.slow_query_threshold_ns = t;
-        self.obs.spans.enabled = self.obs.trace.enabled || t.is_some();
-    }
-
     /// Rendered span trees of queries that crossed the slow-query
     /// threshold, oldest first (bounded; oldest entries dropped).
     pub fn slow_query_log(&self) -> &[String] {
@@ -1113,18 +1061,6 @@ impl Engine {
         let db = &self.db;
         let syms = &self.syms;
         self.obs.spans.chrome_trace(|p| pred_display(db, syms, p))
-    }
-
-    /// Records one pool job's queue wait (submit → worker pickup) in this
-    /// engine's metrics. Instrumentation hook for
-    /// [`crate::engine_pool::ServerPool`].
-    pub fn note_queue_wait(&mut self, ns: u64) {
-        self.obs.metrics.queue_wait.record(ns);
-    }
-
-    /// Records one pool job's execution time in this engine's metrics.
-    pub fn note_run_time(&mut self, ns: u64) {
-        self.obs.metrics.run_time.record(ns);
     }
 
     /// Calls dispatched to `name/arity` (cumulative) — the instrumentation
@@ -1175,10 +1111,6 @@ impl Default for Engine {
     fn default() -> Self {
         Self::new()
     }
-}
-
-fn flatten_commas(t: &Term) -> Vec<&Term> {
-    t.conjuncts()
 }
 
 /// `name/arity` display of a predicate id for span rendering (`NO_ID`

@@ -15,6 +15,19 @@
 //! engines are constructed *inside* their worker threads and never move;
 //! only jobs, results, and the `Arc`-held store cross thread boundaries.
 //!
+//! Every query is one streamed job. The worker runs it through the
+//! engine's query driver, renders each solution with its own symbol
+//! table inside the per-solution callback, and sends an
+//! [`StreamItem::Answers`] batch every `batch` solutions, so the first
+//! batch leaves before evaluation ends; the last partial batch is flushed
+//! before the one terminal `Done` or `Error`. A query that fails after k
+//! solutions therefore streams those k answers, then `Error`. A count job
+//! decodes and sends no answers — only `Done` with the total.
+//! [`ServerPool::try_submit_stream`] (admission-controlled) and
+//! [`ServerPool::submit_count`] (the embedded path) both submit it; no
+//! AST term ever crosses a thread, since its symbol ids belong to the
+//! worker's table.
+//!
 //! Consistency: updates (assert/abolish/consult) are per-worker state, so
 //! [`ServerPool::consult_all`] broadcasts program text to every worker.
 //! Table invalidation is pool-wide automatically — a worker that asserts
@@ -38,7 +51,7 @@
 //! local-compute fallback so a stuck claimant can never wedge the pool.
 
 use crate::durable::{note_ack, werr, Ack, DurableLog, Record};
-use crate::engine::{Engine, Solution};
+use crate::engine::{Derived, Engine};
 use crate::error::EngineError;
 use crate::shared::SharedTableStore;
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -60,9 +73,9 @@ pub struct PoolConfig {
     pub table_budget: Option<u64>,
     /// admission control for [`ServerPool::try_submit_stream`]: maximum
     /// streamed jobs queued-or-running pool-wide before submissions are
-    /// rejected with a typed [`PoolBusy`] (None = unbounded). The plain
-    /// `submit`/`query` APIs are not admission-controlled — they are the
-    /// embedded, trusted path.
+    /// rejected with a typed [`PoolBusy`] (None = unbounded).
+    /// [`ServerPool::submit_count`] is not admission-controlled — it is
+    /// the embedded, trusted path.
     pub queue_depth: Option<usize>,
 }
 
@@ -124,19 +137,16 @@ impl std::fmt::Display for PoolBusy {
 }
 
 enum Job {
-    /// run a query, return all solutions (the `Instant` is the submit
-    /// time — the worker records the queue wait before running)
-    Query(String, Instant, Sender<Result<Vec<Solution>, EngineError>>),
-    /// run a query to exhaustion, return the solution count
-    Count(String, Instant, Sender<Result<usize, EngineError>>),
-    /// consult program text
+    /// consult program text (the `Instant` is the submit time — the
+    /// worker records the queue wait before running)
     Consult(String, Instant, Sender<Result<(), EngineError>>),
     /// snapshot this worker's metrics (also the join barrier: a reply
     /// proves the worker drained everything submitted before it)
     Metrics(Sender<Box<Metrics>>),
-    /// run a streamed job: answers go back in batches of `batch` over the
-    /// shared `reply` channel, every event tagged with `tag` so many jobs
-    /// can share one channel (the serving front-end's pipelining)
+    /// run a query: answers are rendered as they are derived and go back
+    /// in batches of `batch` over the shared `reply` channel, every event
+    /// tagged with `tag` so many jobs can share one channel (the serving
+    /// front-end's pipelining); `admitted` jobs hold an admission slot
     Stream {
         kind: StreamKind,
         goal: String,
@@ -144,6 +154,7 @@ enum Job {
         batch: usize,
         submitted: Instant,
         reply: Sender<(u64, StreamItem)>,
+        admitted: bool,
     },
 }
 
@@ -154,11 +165,18 @@ impl Job {
     /// no job kind can double-record or skip the sample.
     fn submitted(&self) -> Option<Instant> {
         match self {
-            Job::Query(_, t, _) | Job::Count(_, t, _) | Job::Consult(_, t, _) => Some(*t),
+            Job::Consult(_, t, _) => Some(*t),
             Job::Stream { submitted, .. } => Some(*submitted),
             Job::Metrics(_) => None,
         }
     }
+}
+
+/// A solution's named bindings rendered with the worker's symbol table.
+fn render(d: &Derived<'_>) -> WireAnswer {
+    d.bindings()
+        .map(|(name, t)| (name.clone(), t.display(d.syms).to_string()))
+        .collect()
 }
 
 struct Worker {
@@ -173,7 +191,7 @@ pub struct ServerPool {
     store: Arc<SharedTableStore>,
     /// the pool's durable log, when built via the durable constructors
     log: Option<Arc<DurableLog>>,
-    /// round-robin cursor for [`ServerPool::submit`]
+    /// round-robin cursor for unpinned submissions
     next: std::sync::atomic::AtomicUsize,
     /// streamed jobs currently queued or running pool-wide; workers
     /// decrement after the terminal event, so the count is the admission
@@ -187,19 +205,23 @@ pub struct ServerPool {
     wal_metrics: Mutex<Metrics>,
 }
 
-/// A pending result from [`ServerPool::submit`] / [`ServerPool::submit_count`].
-/// `wait()` blocks until the owning worker finishes the job.
-pub struct Ticket<T> {
-    rx: Receiver<Result<T, EngineError>>,
+/// A pending solution count from [`ServerPool::submit_count`]. `wait()`
+/// blocks until the owning worker finishes the job.
+pub struct Ticket {
+    rx: Receiver<(u64, StreamItem)>,
 }
 
-impl<T> Ticket<T> {
+impl Ticket {
     /// Blocks until the job completes. If the worker thread died (engine
     /// panic), the error surfaces here rather than hanging.
-    pub fn wait(self) -> Result<T, EngineError> {
-        self.rx
-            .recv()
-            .unwrap_or_else(|_| Err(EngineError::Other("pool worker died".into())))
+    pub fn wait(self) -> Result<usize, EngineError> {
+        match self.rx.recv() {
+            Ok((_, StreamItem::Done { count, .. })) => Ok(count as usize),
+            Ok((_, StreamItem::Error(msg))) => Err(EngineError::Other(msg)),
+            // a count job streams no answers: only a terminal event arrives
+            Ok((_, StreamItem::Answers(_))) => unreachable!("count job streamed answers"),
+            Err(_) => Err(EngineError::Other("pool worker died".into())),
+        }
     }
 }
 
@@ -326,21 +348,9 @@ impl ServerPool {
                     // kind samples exactly once, the metrics barrier never
                     let queue_ns = job.submitted().map(|s| s.elapsed().as_nanos() as u64);
                     if let Some(ns) = queue_ns {
-                        e.note_queue_wait(ns);
+                        e.obs.metrics.queue_wait.record(ns);
                     }
                     match job {
-                        Job::Query(q, _, reply) => {
-                            let sw = Stopwatch::new();
-                            let r = e.query(&q);
-                            e.note_run_time(sw.elapsed_nanos());
-                            let _ = reply.send(r);
-                        }
-                        Job::Count(q, _, reply) => {
-                            let sw = Stopwatch::new();
-                            let r = e.count(&q);
-                            e.note_run_time(sw.elapsed_nanos());
-                            let _ = reply.send(r);
-                        }
                         Job::Consult(src, _, reply) => {
                             // consult_all is a broadcast: every worker
                             // applies the same update, so it does not
@@ -349,7 +359,7 @@ impl ServerPool {
                             // worker (see `Engine::consult_broadcast`)
                             let sw = Stopwatch::new();
                             let r = e.consult_broadcast(&src);
-                            e.note_run_time(sw.elapsed_nanos());
+                            e.obs.metrics.run_time.record(sw.elapsed_nanos());
                             let _ = reply.send(r);
                         }
                         Job::Stream {
@@ -358,41 +368,32 @@ impl ServerPool {
                             tag,
                             batch,
                             reply,
+                            admitted,
                             ..
                         } => {
                             let sw = Stopwatch::new();
-                            let terminal = match kind {
-                                StreamKind::Query => match e.query(&goal) {
-                                    Ok(sols) => {
-                                        let count = sols.len() as u64;
-                                        let batch = batch.max(1);
-                                        for chunk in sols.chunks(batch) {
-                                            let rendered = chunk
-                                                .iter()
-                                                .map(|s| {
-                                                    s.bindings
-                                                        .iter()
-                                                        .map(|(n, t)| {
-                                                            (
-                                                                n.clone(),
-                                                                t.display(&e.syms).to_string(),
-                                                            )
-                                                        })
-                                                        .collect()
-                                                })
-                                                .collect();
-                                            let _ =
-                                                reply.send((tag, StreamItem::Answers(rendered)));
-                                        }
-                                        Ok(count)
+                            let batch = batch.max(1);
+                            let mut pending: Vec<WireAnswer> = Vec::new();
+                            let r = e.drive(&goal, |d| {
+                                if kind == StreamKind::Query {
+                                    pending.push(render(d));
+                                    if pending.len() == batch {
+                                        // a full batch: size the next one
+                                        let full = std::mem::replace(
+                                            &mut pending,
+                                            Vec::with_capacity(batch),
+                                        );
+                                        let _ = reply.send((tag, StreamItem::Answers(full)));
                                     }
-                                    Err(err) => Err(err),
-                                },
-                                StreamKind::Count => e.count(&goal).map(|n| n as u64),
-                            };
+                                }
+                                true
+                            });
+                            if !pending.is_empty() {
+                                let _ = reply.send((tag, StreamItem::Answers(pending)));
+                            }
                             let run_ns = sw.elapsed_nanos();
-                            e.note_run_time(run_ns);
-                            let item = match terminal {
+                            e.obs.metrics.run_time.record(run_ns);
+                            let item = match r {
                                 Ok(count) => StreamItem::Done {
                                     count,
                                     queue_wait_ns: queue_ns.unwrap_or(0),
@@ -403,7 +404,9 @@ impl ServerPool {
                             // release the admission slot before the
                             // terminal event: a caller that sees Done must
                             // be able to submit again without a spurious Busy
-                            inflight.fetch_sub(1, std::sync::atomic::Ordering::AcqRel);
+                            if admitted {
+                                inflight.fetch_sub(1, std::sync::atomic::Ordering::AcqRel);
+                            }
                             let _ = reply.send((tag, item));
                         }
                         Job::Metrics(reply) => {
@@ -468,30 +471,20 @@ impl ServerPool {
         &self.workers[i]
     }
 
-    /// Submits a query round-robin (or to a specific worker) and returns
-    /// a [`Ticket`] for its solutions.
-    pub fn submit(&self, q: &str) -> Ticket<Vec<Solution>> {
-        self.submit_to(q, None)
-    }
-
-    /// Like [`ServerPool::submit`] but pinned to worker `worker % N`.
-    pub fn submit_to(&self, q: &str, worker: Option<usize>) -> Ticket<Vec<Solution>> {
-        let (reply, rx) = channel();
-        let _ = self
-            .pick(worker)
-            .tx
-            .send(Job::Query(q.to_string(), Instant::now(), reply));
-        Ticket { rx }
-    }
-
     /// Submits a counting query (solutions are not decoded — the
-    /// fail-loop fast path) round-robin or pinned.
-    pub fn submit_count(&self, q: &str, worker: Option<usize>) -> Ticket<usize> {
+    /// fail-loop fast path) round-robin or pinned to worker `worker % N`.
+    pub fn submit_count(&self, q: &str, worker: Option<usize>) -> Ticket {
         let (reply, rx) = channel();
-        let _ = self
-            .pick(worker)
-            .tx
-            .send(Job::Count(q.to_string(), Instant::now(), reply));
+        let job = Job::Stream {
+            kind: StreamKind::Count,
+            goal: q.to_string(),
+            tag: 0,
+            batch: 1,
+            submitted: Instant::now(),
+            reply,
+            admitted: false,
+        };
+        let _ = self.pick(worker).tx.send(job);
         Ticket { rx }
     }
 
@@ -525,6 +518,7 @@ impl ServerPool {
             batch,
             submitted: Instant::now(),
             reply,
+            admitted: true,
         };
         if self.pick(None).tx.send(job).is_err() {
             // worker died: release the slot; the caller sees the closed
@@ -537,11 +531,6 @@ impl ServerPool {
     /// Streamed jobs currently queued or running (admission occupancy).
     pub fn inflight(&self) -> usize {
         self.inflight.load(std::sync::atomic::Ordering::Acquire)
-    }
-
-    /// Convenience: run a query on one worker and wait for its solutions.
-    pub fn query(&self, q: &str) -> Result<Vec<Solution>, EngineError> {
-        self.submit(q).wait()
     }
 
     /// Convenience: count solutions on one worker.
@@ -804,12 +793,12 @@ mod tests {
     #[test]
     fn queue_wait_samples_once_per_timed_job() {
         let p = pool(2);
-        // 2 queries + 1 count = 3 timed jobs; consult_all broadcasts one
-        // timed consult job to each of the 2 workers = 2 more; the metrics
+        // 3 counts = 3 timed jobs; consult_all broadcasts one timed
+        // consult job to each of the 2 workers = 2 more; the metrics
         // barrier jobs must not sample at all
-        assert_eq!(p.submit("path(1, X)").wait().unwrap().len(), 3);
-        assert_eq!(p.submit("path(2, X)").wait().unwrap().len(), 3);
-        assert_eq!(p.submit_count("path(3, X)", None).wait().unwrap(), 3);
+        for q in ["path(1, X)", "path(2, X)", "path(3, X)"] {
+            assert_eq!(p.submit_count(q, None).wait().unwrap(), 3);
+        }
         p.consult_all("extra(a).").unwrap();
         p.join();
         let m = p.metrics();
@@ -854,11 +843,9 @@ mod tests {
     #[test]
     fn pool_workers_builtin_reports_size() {
         let p = pool(3);
-        let sols = p.query("pool_workers(N)").unwrap();
-        assert_eq!(sols.len(), 1);
         assert_eq!(
-            sols[0].get("N"),
-            Some(&xsb_syntax::Term::Int(3)),
+            p.count("pool_workers(3)").unwrap(),
+            1,
             "pool_workers/1 reports the worker count"
         );
     }
@@ -940,6 +927,34 @@ mod tests {
             (9, StreamItem::Error(_)) => {}
             other => panic!("expected Error, got {other:?}"),
         }
+        assert_eq!(p.inflight(), 0);
+
+        // an error after k solutions: the k answers already derived are
+        // flushed as a partial batch, then the terminal Error
+        let (tx, rx) = channel();
+        p.try_submit_stream(
+            StreamKind::Query,
+            "member(X, [1, a]), Y is X + 1",
+            10,
+            8,
+            tx,
+        )
+        .unwrap();
+        match rx.recv().unwrap() {
+            (10, StreamItem::Answers(batch)) => assert_eq!(
+                batch,
+                [[
+                    ("X".to_string(), "1".to_string()),
+                    ("Y".to_string(), "2".to_string())
+                ]]
+            ),
+            other => panic!("expected one Answers batch, got {other:?}"),
+        }
+        match rx.recv().unwrap() {
+            (10, StreamItem::Error(_)) => {}
+            other => panic!("expected Error, got {other:?}"),
+        }
+        assert!(rx.recv().is_err(), "Error is the last event");
         assert_eq!(p.inflight(), 0);
     }
 

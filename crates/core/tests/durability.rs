@@ -421,7 +421,7 @@ fn pool_divergence_crash_recover_rejoin() {
         ServerPool::new_durable(":- dynamic f/1.\nf(1).\n", cfg.clone(), log.clone()).unwrap();
     pool.consult_all(":- dynamic g/1.\ng(5).\n").unwrap();
     // worker 0 diverges: a non-broadcast mutation to the shared-floor EDB
-    pool.submit_to("assert(f(7))", Some(0)).wait().unwrap();
+    pool.submit_count("assert(f(7))", Some(0)).wait().unwrap();
     assert_eq!(pool.submit_count("f(7)", Some(0)).wait().unwrap(), 1);
     assert_eq!(pool.submit_count("f(7)", Some(1)).wait().unwrap(), 0);
     drop(pool); // crash (Drop flushes; SyncedOnly keeps the honest prefix)
@@ -455,7 +455,7 @@ fn pool_double_crash_converges() {
         ..PoolConfig::default()
     };
     let pool = ServerPool::new_durable(":- dynamic f/1.\nf(1).\n", cfg.clone(), log).unwrap();
-    pool.submit_to("assert(f(2))", Some(1)).wait().unwrap();
+    pool.submit_count("assert(f(2))", Some(1)).wait().unwrap();
     drop(pool);
     let img = fs.lock().unwrap().crash_image(CrashMode::SyncedOnly);
     let fs2 = shared_failpoint();
@@ -466,7 +466,7 @@ fn pool_double_crash_converges() {
     }
     let log2 = Arc::new(DurableLog::open(Box::new(fs2.clone())).unwrap());
     let pool = ServerPool::reopen_log(log2, cfg.clone()).unwrap();
-    pool.submit_to("assert(f(3))", Some(1)).wait().unwrap();
+    pool.submit_count("assert(f(3))", Some(1)).wait().unwrap();
     drop(pool);
     let img2 = fs2.lock().unwrap().crash_image(CrashMode::SyncedOnly);
     let log3 = Arc::new(DurableLog::open(Box::new(MemVfs::from_bytes(img2))).unwrap());

@@ -2,9 +2,9 @@
 //! copy-in/copy-out, and trail-based state restoration — the invariants
 //! every SLG operation relies on.
 
-// Property tests require the external `proptest` crate, which the
-// offline sandbox cannot fetch. Re-add the dev-dependency and enable
-// the `proptest` feature to run these.
+// Gated behind the `proptest` feature; the strategies and macros come
+// from the in-tree deterministic stand-in (`crates/proptest`). Run with
+// `cargo test -p xsb-core --features proptest`.
 #![cfg(feature = "proptest")]
 
 use proptest::prelude::*;

@@ -9,8 +9,7 @@
 //! (a factor of two) and is usually much smaller.
 //!
 //! Histograms are plain counters: they merge by bucketwise addition
-//! (associative and commutative, the pool-aggregation requirement) and
-//! subtract by bucketwise saturating difference ([`Histogram::diff`]).
+//! (associative and commutative, the pool-aggregation requirement).
 
 use crate::json::Json;
 
@@ -170,31 +169,6 @@ impl Histogram {
         }
     }
 
-    /// The samples recorded in `self` but not in the (earlier) snapshot
-    /// `earlier` — bucketwise saturating subtraction. Exact for the
-    /// buckets and count; `min`/`max` are re-derived from the surviving
-    /// bucket bounds (the per-sample extremes are not recoverable).
-    pub fn diff(&self, earlier: &Histogram) -> Histogram {
-        let mut out = Histogram::new();
-        for i in 0..BUCKETS {
-            out.buckets[i] = self.buckets[i].saturating_sub(earlier.buckets[i]);
-            out.count += out.buckets[i];
-        }
-        out.sum = self.sum.saturating_sub(earlier.sum);
-        for i in 0..BUCKETS {
-            if out.buckets[i] > 0 {
-                let (lo, hi) = bucket_range(i);
-                if lo < out.min {
-                    out.min = lo;
-                }
-                if hi > out.max {
-                    out.max = hi.min(self.max);
-                }
-            }
-        }
-        out
-    }
-
     /// Zeroes all samples.
     pub fn reset(&mut self) {
         *self = Histogram::default();
@@ -335,26 +309,6 @@ mod tests {
         e.merge(&a);
         assert_eq!(e.buckets, a.buckets);
         assert_eq!(e.max(), a.max());
-    }
-
-    #[test]
-    fn diff_recovers_a_phase() {
-        let mut before = Histogram::new();
-        for v in [10, 20, 30] {
-            before.record(v);
-        }
-        let mut after = before.clone();
-        for v in [1000, 2000, 4000, 8000] {
-            after.record(v);
-        }
-        let phase = after.diff(&before);
-        assert_eq!(phase.count(), 4);
-        assert!(phase.p50() >= 1000, "p50={}", phase.p50());
-        assert!(phase.max() >= 8000);
-        // diff against itself is empty
-        let zero = after.diff(&after);
-        assert!(zero.is_empty());
-        assert_eq!(zero.p99(), 0);
     }
 
     #[test]

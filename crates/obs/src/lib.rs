@@ -9,8 +9,7 @@
 //!   monotonic-clock timers, and log2-bucketed latency histograms
 //!   ([`metrics::Metrics`]), including per-predicate call/subgoal counts.
 //! * [`hist`] — the [`hist::Histogram`] itself: 64 power-of-two buckets,
-//!   p50/p95/p99 with in-bucket interpolation, associative merge, and
-//!   snapshot subtraction for per-phase carving.
+//!   p50/p95/p99 with in-bucket interpolation, and associative merge.
 //! * [`trace`] — a bounded ring buffer of typed SLG events
 //!   ([`trace::SlgEvent`]) with an `enabled` fast path, so the disabled
 //!   cost on the emulator's hot paths is a single branch.
@@ -57,6 +56,15 @@ pub struct Obs {
 impl Obs {
     pub fn new() -> Obs {
         Obs::default()
+    }
+
+    /// Sets SLG event tracing and the slow-query threshold, and with them
+    /// span collection: spans are collected iff tracing is on or a
+    /// threshold is set (the slow-query log renders the span tree).
+    pub fn configure(&mut self, tracing: bool, slow_query_threshold_ns: Option<u64>) {
+        self.trace.enabled = tracing;
+        self.slow_query_threshold_ns = slow_query_threshold_ns;
+        self.spans.enabled = tracing || slow_query_threshold_ns.is_some();
     }
 
     /// Clears counters, gauges, timers, histograms, profile samples,

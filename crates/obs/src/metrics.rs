@@ -13,135 +13,114 @@ use crate::json::Json;
 use crate::profile::OpcodeProfile;
 use std::time::Instant;
 
-/// Machine-wide monotonic counters. The discriminant order defines the
-/// report order; `NAMES` must stay in sync.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(usize)]
-pub enum Counter {
+/// Declares [`Counter`] from one list of `Variant => "statistics/2 key"`
+/// entries: the enum, [`Counter::ALL`], [`Counter::COUNT`] and
+/// [`Counter::NAMES`] all come from it, so they cannot drift apart.
+macro_rules! counters {
+    ($($(#[$doc:meta])* $variant:ident => $name:literal,)*) => {
+        /// Machine-wide monotonic counters. The declaration order defines
+        /// the report order.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        #[repr(usize)]
+        pub enum Counter {
+            $($(#[$doc])* $variant,)*
+        }
+
+        impl Counter {
+            /// Every counter, in report order.
+            pub const ALL: [Counter; Counter::COUNT] = [$(Counter::$variant,)*];
+
+            pub const COUNT: usize = [$($name,)*].len();
+
+            /// `statistics/2` keys, in report order.
+            pub const NAMES: [&'static str; Counter::COUNT] = [$($name,)*];
+
+            pub fn name(self) -> &'static str {
+                Counter::NAMES[self as usize]
+            }
+        }
+    };
+}
+
+counters! {
     /// Abstract-machine instructions dispatched.
-    Instructions,
+    Instructions => "instructions",
     /// Predicate calls (tabled and non-tabled) entering `dispatch`.
-    Calls,
+    Calls => "calls",
     /// Top-level unification operations.
-    Unifications,
+    Unifications => "unifications",
     /// Bindings recorded on the (forward) trail.
-    TrailOps,
+    TrailOps => "trail_ops",
     /// Choice points pushed.
-    ChoicePoints,
+    ChoicePoints => "choice_points",
     /// Backtracks taken (choice-point retries/pops).
-    Backtracks,
+    Backtracks => "backtracks",
     /// New tabled subgoals created (generator check/insert inserts).
-    SubgoalsCreated,
+    SubgoalsCreated => "subgoals_created",
     /// Answers added to answer tables.
-    AnswersRecorded,
+    AnswersRecorded => "answers_recorded",
     /// Answers suppressed as duplicates by the answer check/insert.
-    DuplicateAnswers,
+    DuplicateAnswers => "duplicate_answers",
     /// Consumer suspensions (environment frozen awaiting answers).
-    ConsumerSuspensions,
+    ConsumerSuspensions => "consumer_suspensions",
     /// Consumer resumptions (scheduled to consume new answers).
-    ConsumerResumptions,
+    ConsumerResumptions => "consumer_resumptions",
     /// Strongly-connected components completed.
-    SccCompletions,
+    SccCompletions => "scc_completions",
     /// Subgoals marked complete (across all completed SCCs).
-    SubgoalsCompleted,
+    SubgoalsCompleted => "subgoals_completed",
     /// Negative literals delayed/suspended awaiting completion.
-    NegationSuspends,
+    NegationSuspends => "negation_suspends",
     /// Delayed negative literals simplified/resumed after completion.
-    NegationResumes,
+    NegationResumes => "negation_resumes",
     /// Completed tables reused by a later query (cross-query warm hits).
-    TableHits,
+    TableHits => "table_hits",
     /// Tabled calls that had to build a fresh subgoal (cold misses).
-    TableMisses,
+    TableMisses => "table_misses",
     /// Subgoal frames invalidated by assert/retract dependency tracking
     /// or by a manual `abolish_table_pred/1` / `abolish_table_call/1`.
-    TableInvalidations,
+    TableInvalidations => "table_invalidations",
     /// Completed tables evicted to stay under the table-space budget.
-    TableEvictions,
+    TableEvictions => "table_evictions",
     /// Cells stored for new answers (substitution factored: bindings of
     /// the call's distinct variables only).
-    AnswerCellsFactored,
+    AnswerCellsFactored => "answer_cells_factored",
     /// Tabled calls answered by importing a completed table from the
     /// pool's shared store (cross-worker warm hits).
-    SharedTableHits,
+    SharedTableHits => "shared_table_hits",
     /// Completed tables this engine promoted into the shared store.
-    SharedTablePublishes,
+    SharedTablePublishes => "shared_table_publishes",
     /// Predicates invalidated in (or synced out of) the shared store.
-    SharedTableInvalidations,
+    SharedTableInvalidations => "shared_table_invalidations",
     /// In-progress claims acquired on cold shared subgoals (this worker
     /// elected itself the one computing the table pool-wide).
-    SharedClaims,
+    SharedClaims => "shared_claims",
     /// Times a worker parked on another worker's in-progress claim
     /// instead of duplicating the computation.
-    ClaimWaits,
+    ClaimWaits => "claim_waits",
     /// Parked waits that ended without an importable frame (bounded wait
     /// expired or the claimant released without publishing) — the worker
     /// fell back to computing the table locally.
-    ClaimFallbacks,
+    ClaimFallbacks => "claim_fallbacks",
     /// WAL records appended (begin/commit/abort, assert/retract images,
     /// consult text, checkpoints).
-    WalAppends,
+    WalAppends => "wal_appends",
     /// WAL fsyncs issued (commit-point durability barriers).
-    WalFsyncs,
+    WalFsyncs => "wal_fsyncs",
     /// Commits made durable by group-commit fsyncs, cumulatively — the
     /// average batch size is `group_commit_batch / wal_fsyncs`.
-    GroupCommitBatch,
+    GroupCommitBatch => "group_commit_batch",
     /// WAL records re-applied by crash recovery / restart replay.
-    RecoveryReplayed,
+    RecoveryReplayed => "recovery_replayed",
     /// TCP client connections accepted by the network server.
-    NetConnections,
+    NetConnections => "net_connections",
     /// Wire requests received (query/count/consult frames).
-    NetRequests,
+    NetRequests => "net_requests",
     /// Requests rejected with a typed `Busy` by admission control.
-    NetRejections,
+    NetRejections => "net_rejections",
     /// Connections dropped for a wire-protocol violation (bad magic,
     /// oversized frame, truncated payload, unknown opcode).
-    NetProtocolErrors,
-}
-
-impl Counter {
-    pub const COUNT: usize = 34;
-
-    /// `statistics/2` keys, in report order.
-    pub const NAMES: [&'static str; Counter::COUNT] = [
-        "instructions",
-        "calls",
-        "unifications",
-        "trail_ops",
-        "choice_points",
-        "backtracks",
-        "subgoals_created",
-        "answers_recorded",
-        "duplicate_answers",
-        "consumer_suspensions",
-        "consumer_resumptions",
-        "scc_completions",
-        "subgoals_completed",
-        "negation_suspends",
-        "negation_resumes",
-        "table_hits",
-        "table_misses",
-        "table_invalidations",
-        "table_evictions",
-        "answer_cells_factored",
-        "shared_table_hits",
-        "shared_table_publishes",
-        "shared_table_invalidations",
-        "shared_claims",
-        "claim_waits",
-        "claim_fallbacks",
-        "wal_appends",
-        "wal_fsyncs",
-        "group_commit_batch",
-        "recovery_replayed",
-        "net_connections",
-        "net_requests",
-        "net_rejections",
-        "net_protocol_errors",
-    ];
-
-    pub fn name(self) -> &'static str {
-        Counter::NAMES[self as usize]
-    }
+    NetProtocolErrors => "net_protocol_errors",
 }
 
 /// A gauge: current value plus a never-regressing high-water mark.
@@ -515,46 +494,6 @@ mod tests {
         assert_eq!(m.get(Counter::SubgoalsCreated), 1);
     }
 
-    /// Every variant, in declaration order. Removing or adding a variant
-    /// breaks this list at compile time (unknown name, or a length other
-    /// than `COUNT`); the test below then pins it to `NAMES`.
-    const ALL: [Counter; Counter::COUNT] = [
-        Counter::Instructions,
-        Counter::Calls,
-        Counter::Unifications,
-        Counter::TrailOps,
-        Counter::ChoicePoints,
-        Counter::Backtracks,
-        Counter::SubgoalsCreated,
-        Counter::AnswersRecorded,
-        Counter::DuplicateAnswers,
-        Counter::ConsumerSuspensions,
-        Counter::ConsumerResumptions,
-        Counter::SccCompletions,
-        Counter::SubgoalsCompleted,
-        Counter::NegationSuspends,
-        Counter::NegationResumes,
-        Counter::TableHits,
-        Counter::TableMisses,
-        Counter::TableInvalidations,
-        Counter::TableEvictions,
-        Counter::AnswerCellsFactored,
-        Counter::SharedTableHits,
-        Counter::SharedTablePublishes,
-        Counter::SharedTableInvalidations,
-        Counter::SharedClaims,
-        Counter::ClaimWaits,
-        Counter::ClaimFallbacks,
-        Counter::WalAppends,
-        Counter::WalFsyncs,
-        Counter::GroupCommitBatch,
-        Counter::RecoveryReplayed,
-        Counter::NetConnections,
-        Counter::NetRequests,
-        Counter::NetRejections,
-        Counter::NetProtocolErrors,
-    ];
-
     /// `SubgoalsCreated` → `subgoals_created`.
     fn snake_case(camel: &str) -> String {
         let mut out = String::new();
@@ -569,8 +508,7 @@ mod tests {
 
     #[test]
     fn every_counter_round_trips_through_its_name() {
-        assert_eq!(Counter::NAMES.len(), Counter::COUNT);
-        for (i, c) in ALL.into_iter().enumerate() {
+        for (i, c) in Counter::ALL.into_iter().enumerate() {
             assert_eq!(c as usize, i, "{c:?}: ALL is in discriminant order");
             assert_eq!(
                 c.name(),

@@ -1,11 +1,10 @@
 //! Property tests for the log2-bucketed histogram: quantiles stay within
 //! the recorded range and one bucket of the true order statistic, merge
-//! is associative and agrees with recording the concatenation, and
-//! `diff` of cumulative snapshots recovers the later phase exactly.
+//! is associative and agrees with recording the concatenation.
 
-// Property tests require the external `proptest` crate, which the
-// offline sandbox cannot fetch. Re-add the dev-dependency and enable
-// the `proptest` feature to run these.
+// Gated behind the `proptest` feature; the strategies and macros come
+// from the in-tree deterministic stand-in (`crates/proptest`). Run with
+// `cargo test -p xsb-obs --features proptest`.
 #![cfg(feature = "proptest")]
 
 use proptest::prelude::*;
@@ -106,33 +105,6 @@ proptest! {
         prop_assert_eq!(left.max(), right.max());
         for q in [0.5, 0.95, 0.99] {
             prop_assert_eq!(left.quantile(q), right.quantile(q));
-        }
-    }
-
-    /// diff(cumulative, earlier) recovers the later phase's buckets:
-    /// count and quantiles match a histogram of just the phase samples.
-    #[test]
-    fn diff_recovers_phase_buckets(phase1 in samples(32), phase2 in samples(32)) {
-        let before = hist_of(&phase1);
-        let mut after = before.clone();
-        for &v in &phase2 {
-            after.record(v);
-        }
-        let diff = after.diff(&before);
-        let direct = hist_of(&phase2);
-        prop_assert_eq!(diff.count(), direct.count());
-        prop_assert_eq!(diff.sum(), direct.sum());
-        for q in [0.5, 0.95, 0.99] {
-            // same buckets ⇒ same bucket selected; interpolation may
-            // differ only through the min/max clamp, which diff bounds
-            // by bucket range — allow the factor-of-two bucket width
-            let d = diff.quantile(q);
-            let t = direct.quantile(q);
-            prop_assert!(
-                d <= t.saturating_mul(2).max(1) && t <= d.saturating_mul(2).max(1),
-                "q={} diff={} direct={}",
-                q, d, t
-            );
         }
     }
 

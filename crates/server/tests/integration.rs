@@ -258,6 +258,24 @@ fn engine_error_is_per_request_and_connection_survives() {
     }
     // the same connection still answers
     assert_eq!(c.count("path(1, X)").unwrap(), 3);
+
+    // an error after one solution: that answer arrives, then the error
+    let mut stream = c.query("member(X, [1, a]), Y is X + 1").unwrap();
+    let first = stream.next().expect("one answer").unwrap();
+    assert_eq!(
+        first,
+        [
+            ("X".to_string(), "1".to_string()),
+            ("Y".to_string(), "2".to_string())
+        ]
+    );
+    match stream.next() {
+        Some(Err(DriverError::Engine(_))) => {}
+        other => panic!("expected engine error, got {other:?}"),
+    }
+    assert!(stream.next().is_none());
+    drop(stream);
+    assert_eq!(c.count("path(1, X)").unwrap(), 3);
     c.close();
     assert_eq!(server.shutdown(), 0);
 }

@@ -44,6 +44,7 @@ cargo test -q --workspace --offline
 echo "== cargo test --features proptest (deterministic property tests)"
 cargo test -q --offline --features proptest
 cargo test -q --offline -p xsb-core --features proptest
+cargo test -q --offline -p xsb-obs --features proptest
 $WATCHDOG cargo test -q --offline -p xsb-server --features proptest
 
 echo "== xsbench --check (BENCHMARK.json: every workload end to end, replies verified)"

@@ -3,9 +3,9 @@
 //! the same answers on stratified programs — the paper's correctness
 //! premise for comparing their performance at all.
 
-// Property tests require the external `proptest` crate, which the
-// offline sandbox cannot fetch. Re-add the dev-dependency and enable
-// the `proptest` feature to run these.
+// Gated behind the `proptest` feature; the strategies and macros come
+// from the in-tree deterministic stand-in (`crates/proptest`). Run with
+// `cargo test --features proptest`.
 #![cfg(feature = "proptest")]
 
 use proptest::prelude::*;

@@ -3,9 +3,9 @@
 //! answer-set properties of tabling, and the first-string trie against a
 //! naive clause filter.
 
-// Property tests require the external `proptest` crate, which the
-// offline sandbox cannot fetch. Re-add the dev-dependency and enable
-// the `proptest` feature to run these.
+// Gated behind the `proptest` feature; the strategies and macros come
+// from the in-tree deterministic stand-in (`crates/proptest`). Run with
+// `cargo test --features proptest`.
 #![cfg(feature = "proptest")]
 
 use proptest::prelude::*;
