@@ -1,13 +1,13 @@
 //! Durable EDB: WAL record schema, group commit, and transaction state.
 //!
 //! The paper's EDB (§4.2, §4.6) lives in dynamic predicates mutated by
-//! `assert`/`retract`. This module makes those mutations durable: every
-//! mutation is encoded as a logical *redo record* and appended to a
-//! write-ahead log ([`xsb_storage::Wal`]) **before** it is applied to the
-//! in-memory clause store. Recovery (`Engine::replay_wal`) is ARIES-style:
-//! an analysis pass classifies transactions as winners or losers, a redo
-//! pass repeats history in LSN order, and an undo pass rolls back loser
-//! transactions in reverse order.
+//! `assert`/`retract`. This module makes those mutations durable: the
+//! write path (`crate::edb`) encodes every mutation as a logical *redo
+//! record* and appends it to a write-ahead log ([`xsb_storage::Wal`])
+//! **before** it is applied to the in-memory clause store. Recovery
+//! (`Engine::replay_wal`) is ARIES-style: an analysis pass classifies
+//! transactions as winners or losers, a redo pass repeats history in LSN
+//! order, and an undo pass rolls back loser transactions in reverse order.
 //!
 //! Record kinds (first payload byte):
 //!
@@ -378,39 +378,6 @@ pub fn record_header(payload: &[u8]) -> Option<(u8, u64)> {
     Some((kind, tx))
 }
 
-/// Recomputes the per-argument index tokens of a stored clause from its
-/// canonical cells: `canon` starts with `arity` head-argument roots, each
-/// root followed by its (depth-first) subterm. A `TVar` root indexes as
-/// "variable" (`None`); any other root cell *is* its own outer token
-/// (`Fun` cells are exactly what [`crate::dynamic::outer_token`] yields
-/// for structures).
-pub fn canon_tokens(canon: &[Cell], arity: u16) -> Vec<Option<Cell>> {
-    fn subterm_len(canon: &[Cell], pos: usize) -> usize {
-        match canon[pos].tag() {
-            Tag::Fun => {
-                let (_, n) = canon[pos].functor();
-                let mut len = 1;
-                for _ in 0..n {
-                    len += subterm_len(canon, pos + len);
-                }
-                len
-            }
-            _ => 1,
-        }
-    }
-    let mut toks = Vec::with_capacity(arity as usize);
-    let mut pos = 0usize;
-    for _ in 0..arity {
-        let c = canon[pos];
-        toks.push(match c.tag() {
-            Tag::TVar => None,
-            _ => Some(c),
-        });
-        pos += subterm_len(canon, pos);
-    }
-    toks
-}
-
 // ---------------------------------------------------------------------------
 // the log
 // ---------------------------------------------------------------------------
@@ -460,6 +427,19 @@ struct LogInner {
 }
 
 impl LogInner {
+    /// Retains the source text of a Program or Broadcast record: a
+    /// checkpoint rewrites the log starting with these.
+    fn retain_source(&mut self, kind: u8, payload: &[u8]) {
+        if kind != KIND_PROGRAM && kind != KIND_BROADCAST {
+            return;
+        }
+        match Record::decode(payload, &mut SymbolTable::new()) {
+            Ok(Record::Program { text }) => self.program = Some(text),
+            Ok(Record::Broadcast { text }) => self.broadcasts.push(text),
+            _ => {}
+        }
+    }
+
     /// fsync now, folding all pending commit points into this batch.
     fn force(&mut self) -> io::Result<(bool, u64)> {
         self.wal.sync()?;
@@ -491,44 +471,28 @@ impl DurableLog {
         let (wal, _) = Wal::open(vfs)?;
         let bytes = wal.bytes()?;
         let scan = xsb_storage::scan_records(&bytes);
+        // the surviving log's open transactions are losers, not active:
+        // `active_txs` starts empty so later checkpoints are not refused
+        let mut inner = LogInner {
+            flushed_lsn: wal.size(),
+            wal,
+            window_us: 0,
+            unsynced_commits: 0,
+            first_unsynced: None,
+            active_txs: HashSet::new(),
+            program: None,
+            broadcasts: Vec::new(),
+        };
         let mut max_tx = 0u64;
-        let mut program = None;
-        let mut broadcasts = Vec::new();
         for span in &scan.records {
             let payload = &bytes[span.start..span.end];
-            let Some((kind, tx)) = record_header(payload) else {
-                continue;
-            };
-            max_tx = max_tx.max(tx);
-            match kind {
-                KIND_PROGRAM => {
-                    if let Ok(Record::Program { text }) =
-                        Record::decode(payload, &mut SymbolTable::new())
-                    {
-                        program = Some(text);
-                    }
-                }
-                KIND_BROADCAST => {
-                    if let Ok(Record::Broadcast { text }) =
-                        Record::decode(payload, &mut SymbolTable::new())
-                    {
-                        broadcasts.push(text);
-                    }
-                }
-                _ => {}
+            if let Some((kind, tx)) = record_header(payload) {
+                max_tx = max_tx.max(tx);
+                inner.retain_source(kind, payload);
             }
         }
         Ok(DurableLog {
-            inner: Mutex::new(LogInner {
-                flushed_lsn: wal.size(),
-                wal,
-                window_us: 0,
-                unsynced_commits: 0,
-                first_unsynced: None,
-                active_txs: HashSet::new(),
-                program,
-                broadcasts,
-            }),
+            inner: Mutex::new(inner),
             next_tx: AtomicU64::new(max_tx + 1),
         })
     }
@@ -580,21 +544,7 @@ impl DurableLog {
                 KIND_COMMIT | KIND_ABORT => {
                     inner.active_txs.remove(&tx);
                 }
-                KIND_PROGRAM => {
-                    if let Ok(Record::Program { text }) =
-                        Record::decode(payload, &mut SymbolTable::new())
-                    {
-                        inner.program = Some(text);
-                    }
-                }
-                KIND_BROADCAST => {
-                    if let Ok(Record::Broadcast { text }) =
-                        Record::decode(payload, &mut SymbolTable::new())
-                    {
-                        inner.broadcasts.push(text);
-                    }
-                }
-                _ => {}
+                _ => inner.retain_source(kind, payload),
             }
         }
         let lsn = inner.wal.append(payload)?;
@@ -721,8 +671,6 @@ pub struct ActiveTxn {
     pub begun_logged: bool,
     /// in-memory undo actions, applied in reverse on abort
     pub undo: Vec<UndoEntry>,
-    /// predicates touched — invalidated after an abort rolls them back
-    pub touched: Vec<PredId>,
 }
 
 /// How to undo one applied mutation.
@@ -731,23 +679,6 @@ pub enum UndoEntry {
     Assert { pred: PredId, clause: u32 },
     /// undo a retract: revive the logically-deleted clause
     Retract { pred: PredId, clause: u32 },
-}
-
-/// A mutation about to be applied, described for the redo log.
-pub enum MutOp<'a> {
-    Assert {
-        name: Sym,
-        arity: u16,
-        at_front: bool,
-        has_body: bool,
-        canon: &'a [Cell],
-    },
-    Retract {
-        name: Sym,
-        arity: u16,
-        has_body: bool,
-        canon: &'a [Cell],
-    },
 }
 
 pub(crate) fn werr(e: io::Error) -> EngineError {
@@ -765,82 +696,19 @@ pub(crate) fn note_ack(metrics: &mut Metrics, ack: &Ack, latency: Option<Stopwat
     }
 }
 
-/// Writes the redo record for a mutation **before** it is applied
-/// (WAL-before-data at the logical level). Inside an explicit transaction
-/// the record carries the txid (with a lazy Begin); outside, it is an
-/// auto-commit record (tx 0) and a commit point.
-pub fn log_mutation(
-    db: &mut crate::program::Program,
+/// Appends `rec` to `log` and counts it; a commit point's append time
+/// goes into the commit-latency histogram.
+pub(crate) fn append(
+    log: &DurableLog,
     syms: &SymbolTable,
     metrics: &mut Metrics,
-    op: MutOp,
+    rec: &Record,
+    commit_point: bool,
 ) -> Result<(), EngineError> {
-    let Some(conn) = db.durable.as_mut() else {
-        return Ok(());
-    };
-    if !conn.active() {
-        return Ok(());
-    }
-    let (tx, auto) = match db.txn.as_mut() {
-        Some(t) => {
-            if !t.begun_logged {
-                let ack = conn
-                    .log
-                    .append_record(&Record::Begin { tx: t.id }, syms, false)
-                    .map_err(werr)?;
-                note_ack(metrics, &ack, None);
-                t.begun_logged = true;
-            }
-            (t.id, false)
-        }
-        None => (0, true),
-    };
-    let worker = conn.worker;
-    let rec = match op {
-        MutOp::Assert {
-            name,
-            arity,
-            at_front,
-            has_body,
-            canon,
-        } => Record::Assert {
-            tx,
-            worker,
-            name,
-            arity,
-            at_front,
-            has_body,
-            canon: canon.to_vec(),
-        },
-        MutOp::Retract {
-            name,
-            arity,
-            has_body,
-            canon,
-        } => Record::Retract {
-            tx,
-            worker,
-            name,
-            arity,
-            has_body,
-            canon: canon.to_vec(),
-        },
-    };
-    let sw = auto.then(Stopwatch::new);
-    let ack = conn.log.append_record(&rec, syms, auto).map_err(werr)?;
+    let sw = commit_point.then(Stopwatch::new);
+    let ack = log.append_record(rec, syms, commit_point).map_err(werr)?;
     note_ack(metrics, &ack, sw);
     Ok(())
-}
-
-/// Records the undo action for a just-applied mutation if a transaction
-/// is open (no-op otherwise).
-pub fn track_txn_mutation(db: &mut crate::program::Program, pred: PredId, entry: UndoEntry) {
-    if let Some(t) = db.txn.as_mut() {
-        t.undo.push(entry);
-        if !t.touched.contains(&pred) {
-            t.touched.push(pred);
-        }
-    }
 }
 
 /// `begin_transaction/0`: opens an explicit transaction. Nesting is not
@@ -863,7 +731,6 @@ pub fn begin_txn(db: &mut crate::program::Program) -> Result<(), EngineError> {
         id,
         begun_logged: false,
         undo: Vec::new(),
-        touched: Vec::new(),
     });
     Ok(())
 }
@@ -880,157 +747,51 @@ pub fn commit_txn(
             "commit_transaction/0: no active transaction".into(),
         ));
     };
-    if t.begun_logged {
-        if let Some(conn) = db.durable.as_ref() {
-            let sw = Stopwatch::new();
-            let ack = conn
-                .log
-                .append_record(&Record::Commit { tx: t.id }, syms, true)
-                .map_err(werr)?;
-            note_ack(metrics, &ack, Some(sw));
+    match db.durable.as_ref() {
+        Some(conn) if t.begun_logged => {
+            append(&conn.log, syms, metrics, &Record::Commit { tx: t.id }, true)
         }
+        _ => Ok(()),
     }
-    Ok(())
 }
 
 /// `abort_transaction/0`: rolls the open transaction back in memory
-/// (reverse undo order), writes a durable Abort record, and returns the
-/// touched predicates so the caller can invalidate dependent tables.
-pub fn abort_txn(
-    db: &mut crate::program::Program,
-    syms: &SymbolTable,
-    metrics: &mut Metrics,
-) -> Result<Vec<PredId>, EngineError> {
-    let Some(mut t) = db.txn.take() else {
+/// through the write path (which also invalidates the dependent tables)
+/// and writes a durable Abort record.
+pub(crate) fn abort_txn(edb: &mut crate::edb::Edb) -> Result<(), EngineError> {
+    let Some(t) = edb.db.txn.take() else {
         return Err(EngineError::Other(
             "abort_transaction/0: no active transaction".into(),
         ));
     };
-    for u in t.undo.drain(..).rev() {
-        match u {
-            UndoEntry::Assert { pred, clause } => {
-                if let Some(dp) = db.dyn_of_mut(pred) {
-                    dp.remove(clause);
-                }
-            }
-            UndoEntry::Retract { pred, clause } => {
-                if let Some(dp) = db.dyn_of_mut(pred) {
-                    dp.revive(clause);
-                }
-            }
-        }
+    edb.undo(t.undo);
+    match edb.db.durable.as_ref() {
+        Some(conn) if t.begun_logged => append(
+            &conn.log,
+            edb.syms,
+            &mut edb.obs.metrics,
+            &Record::Abort { tx: t.id },
+            true,
+        ),
+        _ => Ok(()),
     }
-    if t.begun_logged {
-        if let Some(conn) = db.durable.as_ref() {
-            let ack = conn
-                .log
-                .append_record(&Record::Abort { tx: t.id }, syms, true)
-                .map_err(werr)?;
-            note_ack(metrics, &ack, None);
-        }
-    }
-    Ok(t.touched)
 }
 
 /// Logs consulted source text as a Broadcast record (auto-commit). Used
-/// by `Engine::consult` on a durable engine and by pool-level
-/// `consult_all`; the per-assert records inside the consult are
-/// suppressed since the text subsumes them.
+/// by `Engine::consult` on a durable engine; the per-assert records
+/// inside the consult are suppressed since the text subsumes them.
 pub fn log_consult_text(
     db: &mut crate::program::Program,
     syms: &SymbolTable,
     metrics: &mut Metrics,
     text: &str,
 ) -> Result<bool, EngineError> {
-    let Some(conn) = db.durable.as_ref() else {
+    let Some(conn) = db.durable.as_ref().filter(|c| c.active()) else {
         return Ok(false);
     };
-    if !conn.active() {
-        return Ok(false);
-    }
-    let ack = conn
-        .log
-        .append_record(
-            &Record::Broadcast {
-                text: text.to_string(),
-            },
-            syms,
-            true,
-        )
-        .map_err(werr)?;
-    note_ack(metrics, &ack, None);
+    let text = text.to_string();
+    append(&conn.log, syms, metrics, &Record::Broadcast { text }, true)?;
     Ok(true)
-}
-
-/// Logs the redo records for a `retractall/1` batch, before any clause is
-/// removed. Inside an explicit transaction the records join it; a
-/// single-clause auto-commit batch is one ordinary auto-commit record; a
-/// *multi*-clause auto-commit batch is wrapped in an implicit transaction
-/// (Begin … Commit) so a crash mid-batch recovers to *none* removed —
-/// `retractall` stays atomic across restarts.
-pub fn log_retract_batch(
-    db: &mut crate::program::Program,
-    syms: &SymbolTable,
-    metrics: &mut Metrics,
-    name: Sym,
-    arity: u16,
-    items: &[(bool, std::rc::Rc<[Cell]>)],
-) -> Result<(), EngineError> {
-    if items.is_empty() {
-        return Ok(());
-    }
-    let active = db.durable.as_ref().map(|c| c.active()).unwrap_or(false);
-    if !active {
-        return Ok(());
-    }
-    if db.txn.is_some() || items.len() == 1 {
-        for (has_body, canon) in items {
-            log_mutation(
-                db,
-                syms,
-                metrics,
-                MutOp::Retract {
-                    name,
-                    arity,
-                    has_body: *has_body,
-                    canon: &canon[..],
-                },
-            )?;
-        }
-        return Ok(());
-    }
-    let (log, worker) = {
-        let conn = db.durable.as_ref().expect("active");
-        (Arc::clone(&conn.log), conn.worker)
-    };
-    let tx = log.alloc_tx();
-    let ack = log
-        .append_record(&Record::Begin { tx }, syms, false)
-        .map_err(werr)?;
-    note_ack(metrics, &ack, None);
-    for (has_body, canon) in items {
-        let ack = log
-            .append_record(
-                &Record::Retract {
-                    tx,
-                    worker,
-                    name,
-                    arity,
-                    has_body: *has_body,
-                    canon: canon.to_vec(),
-                },
-                syms,
-                false,
-            )
-            .map_err(werr)?;
-        note_ack(metrics, &ack, None);
-    }
-    let sw = Stopwatch::new();
-    let ack = log
-        .append_record(&Record::Commit { tx }, syms, true)
-        .map_err(werr)?;
-    note_ack(metrics, &ack, Some(sw));
-    Ok(())
 }
 
 /// Fuzzy checkpoint (`checkpoint/0` and [`crate::Engine::checkpoint`]):
@@ -1100,18 +861,8 @@ pub fn log_program(
     let Some(conn) = db.durable.as_ref() else {
         return Ok(());
     };
-    let ack = conn
-        .log
-        .append_record(
-            &Record::Program {
-                text: text.to_string(),
-            },
-            syms,
-            true,
-        )
-        .map_err(werr)?;
-    note_ack(metrics, &ack, None);
-    Ok(())
+    let text = text.to_string();
+    append(&conn.log, syms, metrics, &Record::Program { text }, true)
 }
 
 #[cfg(test)]
@@ -1202,22 +953,6 @@ mod tests {
         assert_eq!(record_header(&enc), Some((KIND_COMMIT, 99)));
         let enc = Record::Program { text: "x.".into() }.encode(&syms);
         assert_eq!(record_header(&enc), Some((KIND_PROGRAM, 0)));
-    }
-
-    #[test]
-    fn canon_tokens_skips_subterms() {
-        let mut syms = SymbolTable::new();
-        let f = syms.intern("f");
-        // p(f(1,2), X, 3): roots at 0 (f/2 spans 3 cells), 3 (tvar), 4 (int)
-        let canon = vec![
-            Cell::fun(f, 2),
-            Cell::int(1),
-            Cell::int(2),
-            Cell::tvar(0),
-            Cell::int(3),
-        ];
-        let toks = canon_tokens(&canon, 3);
-        assert_eq!(toks, vec![Some(Cell::fun(f, 2)), None, Some(Cell::int(3))]);
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! used, falling back to a scan.
 
 use crate::cell::{Cell, Tag};
+use crate::table::skip_canon_term;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -139,15 +140,10 @@ impl DynPred {
         }
     }
 
-    /// Inserts a clause at the end (`assertz`) or front (`asserta`).
-    pub fn insert(
-        &mut self,
-        tokens: Vec<Option<Cell>>,
-        canon: Rc<[Cell]>,
-        has_body: bool,
-        at_front: bool,
-    ) -> u32 {
-        debug_assert_eq!(tokens.len(), self.arity as usize);
+    /// Inserts a clause at the end (`assertz`) or front (`asserta`),
+    /// indexed by the outer tokens of its head arguments.
+    pub fn insert(&mut self, canon: Rc<[Cell]>, has_body: bool, at_front: bool) -> u32 {
+        let tokens = canon_tokens(&canon, self.arity);
         let seq = if at_front {
             self.any_front = true;
             let s = self.next_front;
@@ -251,6 +247,21 @@ impl DynPred {
     }
 }
 
+/// The index token of each of the `arity` head-argument roots of a
+/// canonical clause: a `TVar` root indexes as "variable" (`None`); any
+/// other root cell *is* its own outer token — the `Fun` cell of a
+/// structure is exactly what [`outer_token`] yields for it on the heap.
+pub fn canon_tokens(canon: &[Cell], arity: u16) -> Vec<Option<Cell>> {
+    let mut pos = 0;
+    (0..arity)
+        .map(|_| {
+            let root = canon[pos];
+            pos = skip_canon_term(canon, pos);
+            (root.tag() != Tag::TVar).then_some(root)
+        })
+        .collect()
+}
+
 /// The outer token of a dereferenced cell for indexing purposes:
 /// `None` for an unbound variable, the constant itself for CON/INT, the
 /// functor cell for structures, `'.'/2` for lists. "All XSB hash-based
@@ -274,16 +285,21 @@ mod tests {
         Some(Cell::int(i))
     }
 
-    fn canon1(i: i64) -> Rc<[Cell]> {
-        Rc::from(vec![Cell::int(i)].into_boxed_slice())
+    /// A fact whose head arguments are the given tokens (`None` = a
+    /// fresh variable).
+    fn fact(args: &[Option<Cell>]) -> Rc<[Cell]> {
+        args.iter()
+            .enumerate()
+            .map(|(i, a)| a.unwrap_or(Cell::tvar(i)))
+            .collect()
     }
 
     #[test]
     fn default_first_arg_index() {
         let mut p = DynPred::new(2);
-        let a = p.insert(vec![tok(1), tok(10)], canon1(0), false, false);
-        let b = p.insert(vec![tok(2), tok(20)], canon1(0), false, false);
-        let c = p.insert(vec![tok(1), tok(30)], canon1(0), false, false);
+        let a = p.insert(fact(&[tok(1), tok(10)]), false, false);
+        let b = p.insert(fact(&[tok(2), tok(20)]), false, false);
+        let c = p.insert(fact(&[tok(1), tok(30)]), false, false);
         assert_eq!(p.candidates(&[tok(1), None]), vec![a, c]);
         assert_eq!(p.candidates(&[tok(2), None]), vec![b]);
         assert_eq!(p.candidates(&[tok(3), None]), Vec::<u32>::new());
@@ -296,8 +312,8 @@ mod tests {
         let mut p = DynPred::new(3);
         p.set_indexes(vec![IndexSpec { fields: vec![0, 2] }])
             .unwrap();
-        let a = p.insert(vec![tok(1), tok(5), tok(7)], canon1(0), false, false);
-        let _b = p.insert(vec![tok(1), tok(5), tok(8)], canon1(0), false, false);
+        let a = p.insert(fact(&[tok(1), tok(5), tok(7)]), false, false);
+        let _b = p.insert(fact(&[tok(1), tok(5), tok(8)]), false, false);
         assert_eq!(p.candidates(&[tok(1), None, tok(7)]), vec![a]);
         // only one field bound → joint index unusable → scan
         assert_eq!(p.candidates(&[tok(1), None, None]).len(), 2);
@@ -314,14 +330,12 @@ mod tests {
         ])
         .unwrap();
         let a = p.insert(
-            vec![tok(1), tok(2), tok(3), tok(4), tok(5)],
-            canon1(0),
+            fact(&[tok(1), tok(2), tok(3), tok(4), tok(5)]),
             false,
             false,
         );
         let _b = p.insert(
-            vec![tok(9), tok(2), tok(3), tok(9), tok(5)],
-            canon1(0),
+            fact(&[tok(9), tok(2), tok(3), tok(9), tok(5)]),
             false,
             false,
         );
@@ -336,8 +350,8 @@ mod tests {
     #[test]
     fn var_headed_clauses_match_every_key() {
         let mut p = DynPred::new(1);
-        let a = p.insert(vec![tok(1)], canon1(0), false, false);
-        let v = p.insert(vec![None], canon1(0), false, false); // p(X).
+        let a = p.insert(fact(&[tok(1)]), false, false);
+        let v = p.insert(fact(&[None]), false, false); // p(X).
         assert_eq!(p.candidates(&[tok(1)]), vec![a, v]);
         assert_eq!(p.candidates(&[tok(99)]), vec![v]);
     }
@@ -345,16 +359,16 @@ mod tests {
     #[test]
     fn asserta_orders_before_assertz() {
         let mut p = DynPred::new(1);
-        let b = p.insert(vec![tok(1)], canon1(2), false, false);
-        let a = p.insert(vec![tok(1)], canon1(1), false, true); // asserta
+        let b = p.insert(fact(&[tok(1)]), false, false);
+        let a = p.insert(fact(&[tok(1)]), false, true); // asserta
         assert_eq!(p.candidates(&[tok(1)]), vec![a, b]);
     }
 
     #[test]
     fn remove_hides_clause() {
         let mut p = DynPred::new(1);
-        let a = p.insert(vec![tok(1)], canon1(0), false, false);
-        let b = p.insert(vec![tok(1)], canon1(0), false, false);
+        let a = p.insert(fact(&[tok(1)]), false, false);
+        let b = p.insert(fact(&[tok(1)]), false, false);
         p.remove(a);
         assert_eq!(p.candidates(&[tok(1)]), vec![b]);
         assert_eq!(p.len(), 1);
@@ -372,10 +386,26 @@ mod tests {
         let tg = outer_token(Cell::str(2), &heap);
         assert_eq!(tf, Some(Cell::fun(f, 1)));
         assert_ne!(tf, tg);
+        // the canonical clause p(f(1)) is the heap term's own cells
         let mut p = DynPred::new(1);
-        let a = p.insert(vec![tf], canon1(0), false, false);
-        let _b = p.insert(vec![tg], canon1(0), false, false);
+        let a = p.insert(Rc::from(&heap[0..2]), false, false);
+        let _b = p.insert(Rc::from(&heap[2..4]), false, false);
         assert_eq!(p.candidates(&[tf]), vec![a]);
+    }
+
+    #[test]
+    fn canon_tokens_skips_subterms() {
+        let f = Sym(100);
+        // p(f(1,2), X, 3): roots at 0 (f/2 spans 3 cells), 3 (tvar), 4 (int)
+        let canon = vec![
+            Cell::fun(f, 2),
+            Cell::int(1),
+            Cell::int(2),
+            Cell::tvar(0),
+            Cell::int(3),
+        ];
+        let toks = canon_tokens(&canon, 3);
+        assert_eq!(toks, vec![Some(Cell::fun(f, 2)), None, Some(Cell::int(3))]);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::compile::compile_query;
 use crate::error::EngineError;
 use crate::instr::{CodePtr, Instr, PredId};
 use crate::machine::{Alt, Machine, NONE};
-use crate::program::{PredKind, Program};
+use crate::program::PredKind;
 use crate::shared::SharedFrame;
 use crate::table::{GenMode, NegMode, NegSusp, SharedClaim, SubgoalId, SubgoalState, TableSpace};
 use std::rc::Rc;
@@ -952,12 +952,14 @@ impl Machine<'_> {
         self.tables.touch(sub);
     }
 
-    /// Invalidates every tabled predicate that (transitively) depends on
-    /// the changed predicate `pred` — the assert/retract → table
-    /// consistency hook. Completed tables are freed immediately;
-    /// incomplete ones are freed at `end_query`.
-    pub fn invalidate_dependents(&mut self, pred: PredId) {
-        invalidate_dependents(self.db, self.tables, &mut self.obs, pred);
+    /// The write path over this machine's program and tables.
+    pub(crate) fn edb<'s>(&'s mut self, syms: &'s SymbolTable) -> crate::edb::Edb<'s> {
+        crate::edb::Edb {
+            db: self.db,
+            tables: self.tables,
+            obs: &mut self.obs,
+            syms,
+        }
     }
 
     /// Materializes a pool-published frame locally, with the import
@@ -2015,30 +2017,8 @@ impl Machine<'_> {
                         continue;
                     }
                     if self.retract_match(pred, id)? {
-                        // redo record before the store changes
-                        let (name, arity, has_body, canon) = {
-                            let p = self.db.pred(pred);
-                            let c = self.db.dyn_of(pred).expect("dynamic").clause(id);
-                            (p.name, p.arity, c.has_body, c.canon.clone())
-                        };
-                        crate::durable::log_mutation(
-                            self.db,
-                            syms,
-                            &mut self.obs.metrics,
-                            crate::durable::MutOp::Retract {
-                                name,
-                                arity,
-                                has_body,
-                                canon: &canon,
-                            },
-                        )?;
-                        self.db.dyn_of_mut(pred).expect("dynamic").remove(id);
-                        crate::durable::track_txn_mutation(
-                            self.db,
-                            pred,
-                            crate::durable::UndoEntry::Retract { pred, clause: id },
-                        );
-                        self.invalidate_dependents(pred);
+                        self.edb(syms)
+                            .remove(pred, crate::edb::Clauses::Ids(&[id]))?;
                         self.p = resume;
                         return Ok(Bt::Resumed);
                     }
@@ -2108,23 +2088,6 @@ impl Machine<'_> {
         };
         Ok(self.unify(pattern, target))
     }
-}
-
-/// The assert/retract → table consistency hook, shared by queries
-/// ([`Machine`]) and the engine API: invalidates every tabled predicate
-/// that (transitively) depends on the changed predicate `pred`.
-pub(crate) fn invalidate_dependents(
-    db: &Program,
-    tables: &mut TableSpace,
-    obs: &mut Obs,
-    pred: PredId,
-) {
-    let deps = db.tabled_dependents(pred);
-    // unless this is a pool broadcast (`Engine::consult_broadcast`), a
-    // mutation reaching a shared-floor predicate diverges this worker's
-    // EDB and detaches it from answer sharing
-    tables.note_local_mutation(pred, &deps);
-    invalidate_tables(tables, obs, &deps);
 }
 
 /// Drops the local tables of `preds` — completed ones immediately,

@@ -15,6 +15,7 @@
 use crate::cell::Cell;
 use crate::compile::{compile_predicate, compile_query};
 use crate::dynamic::IndexSpec;
+use crate::edb::{Clauses, Edb, NewClause};
 use crate::emulate::Outcome;
 use crate::error::EngineError;
 use crate::instr::PredId;
@@ -227,20 +228,16 @@ impl Engine {
         for key in order {
             let clauses = groups.remove(&key).expect("group recorded");
             let pred = self.db.ensure_pred(key.0, key.1);
+            if self.db.dyn_of(pred).is_some() {
+                self.assert_clauses(pred, &clauses)?;
+                continue;
+            }
             // dependency graph: every body goal of every clause is a
             // potential callee of `pred` (drives table invalidation)
-            for c in &clauses {
-                for g in &c.body {
-                    self.db.record_goal_deps(pred, g);
-                }
+            for g in clauses.iter().flat_map(|c| &c.body) {
+                self.db.record_goal_deps(pred, g);
             }
-            if self.db.dyn_of(pred).is_some() {
-                for c in &clauses {
-                    self.assert_clause(c, false)?;
-                }
-            } else {
-                compile_predicate(&mut self.db, &mut self.syms, key.0, key.1, &clauses)?;
-            }
+            compile_predicate(&mut self.db, &mut self.syms, key.0, key.1, &clauses)?;
         }
         Ok(())
     }
@@ -486,11 +483,14 @@ impl Engine {
         }
     }
 
-    /// Engine-side mirror of the machine's assert/retract hook:
-    /// invalidates the tables of every tabled predicate that (transitively)
-    /// depends on `pred`.
-    fn invalidate_dependents(&mut self, pred: PredId) {
-        crate::emulate::invalidate_dependents(&self.db, &mut self.tables, &mut self.obs, pred);
+    /// The write path over this engine's program and tables.
+    fn edb(&mut self) -> Edb<'_> {
+        Edb {
+            db: &mut self.db,
+            tables: &mut self.tables,
+            obs: &mut self.obs,
+            syms: &self.syms,
+        }
     }
 
     // ------------------------------------------------------------------
@@ -513,10 +513,6 @@ impl Engine {
             body: body.into_iter().collect(),
             var_names: Vec::new(),
         };
-        self.assert_clause(&c, false)
-    }
-
-    fn assert_clause(&mut self, c: &Clause, at_front: bool) -> Result<(), EngineError> {
         let (f, n) = c
             .head
             .functor()
@@ -525,41 +521,14 @@ impl Engine {
             .db
             .declare_dynamic(f, n as u16)
             .map_err(EngineError::Other)?;
-        if c.body.len() > 1 {
-            return Err(EngineError::Other(
-                "dynamic clauses support a single body goal (XSB compiles each dynamic \
-                 clause as a rule with one literal); conjoin goals with ','"
-                    .into(),
-            ));
-        }
-        let (tokens, canon, has_body) = ast_clause_to_canon(&c.head, c.body.first());
-        crate::durable::log_mutation(
-            &mut self.db,
-            &self.syms,
-            &mut self.obs.metrics,
-            crate::durable::MutOp::Assert {
-                name: f,
-                arity: n as u16,
-                at_front,
-                has_body,
-                canon: &canon,
-            },
-        )?;
-        let id = self
-            .db
-            .dyn_of_mut(pred)
-            .expect("declared dynamic")
-            .insert(tokens, canon, has_body, at_front);
-        crate::durable::track_txn_mutation(
-            &mut self.db,
-            pred,
-            crate::durable::UndoEntry::Assert { pred, clause: id },
-        );
-        if let Some(b) = c.body.first() {
-            self.db.record_goal_deps(pred, b);
-        }
-        self.invalidate_dependents(pred);
-        Ok(())
+        self.assert_clauses(pred, &[c])
+    }
+
+    /// Installs `clauses` of dynamic predicate `pred` through the write
+    /// path, in order.
+    fn assert_clauses(&mut self, pred: PredId, clauses: &[Clause]) -> Result<(), EngineError> {
+        let clauses: Vec<NewClause> = clauses.iter().map(clause_to_canon).collect();
+        self.edb().insert(pred, &clauses, false).map(drop)
     }
 
     /// Declares `name/arity` tabled (programmatic `:- table`).
@@ -826,11 +795,36 @@ impl Engine {
                 }
                 report.scanned += 1;
                 let rec = Record::decode(payload, &mut self.syms).map_err(EngineError::Other)?;
-                match rec {
-                    Record::Begin { .. } | Record::Commit { .. } | Record::Abort { .. } => {}
+                let (tx, w, undo) = match rec {
+                    Record::Begin { .. } | Record::Commit { .. } | Record::Abort { .. } => continue,
                     Record::Program { text } | Record::Broadcast { text } => {
                         self.consult(&text)?;
                         report.replayed += 1;
+                        continue;
+                    }
+                    Record::Checkpoint { preds } => {
+                        for sp in preds {
+                            let pred = self
+                                .db
+                                .declare_dynamic(sp.name, sp.arity)
+                                .map_err(EngineError::Other)?;
+                            let clauses: Vec<NewClause> = sp
+                                .clauses
+                                .into_iter()
+                                .map(|(has_body, canon)| (Rc::from(canon), has_body))
+                                .collect();
+                            let mut edb = self.edb();
+                            edb.remove(pred, Clauses::All)?;
+                            edb.insert(pred, &clauses, false)?;
+                        }
+                        report.checkpoint_restored = true;
+                        report.replayed += 1;
+                        continue;
+                    }
+                    Record::Assert { worker: w, .. } | Record::Retract { worker: w, .. }
+                        if w != dur::WORKER_ALL && w != worker =>
+                    {
+                        continue
                     }
                     Record::Assert {
                         tx,
@@ -841,28 +835,17 @@ impl Engine {
                         has_body,
                         canon,
                     } => {
-                        if w != dur::WORKER_ALL && w != worker {
-                            continue;
-                        }
                         let pred = self
                             .db
                             .declare_dynamic(name, arity)
                             .map_err(EngineError::Other)?;
-                        let tokens = dur::canon_tokens(&canon, arity);
-                        let id = self.db.dyn_of_mut(pred).expect("dynamic").insert(
-                            tokens,
-                            Rc::from(canon),
-                            has_body,
-                            at_front,
-                        );
-                        self.invalidate_dependents(pred);
-                        report.replayed += 1;
-                        if w == worker && worker != dur::WORKER_ALL {
-                            report.own_worker_ops += 1;
-                        }
-                        if tx != 0 && !committed.contains(&tx) {
-                            loser_ops.push(UndoEntry::Assert { pred, clause: id });
-                        }
+                        let clause = (Rc::from(canon), has_body);
+                        let ids = self.edb().insert(pred, &[clause], at_front)?;
+                        let undo = UndoEntry::Assert {
+                            pred,
+                            clause: ids.start,
+                        };
+                        (tx, w, undo)
                     }
                     Record::Retract {
                         tx,
@@ -872,49 +855,26 @@ impl Engine {
                         has_body,
                         canon,
                     } => {
-                        if w != dur::WORKER_ALL && w != worker {
-                            continue;
-                        }
                         let pred = self
                             .db
                             .declare_dynamic(name, arity)
                             .map_err(EngineError::Other)?;
-                        let found = {
-                            let dp = self.db.dyn_of(pred).expect("dynamic");
-                            dp.all_live().into_iter().find(|&id| {
-                                let c = dp.clause(id);
-                                c.has_body == has_body && c.canon[..] == canon[..]
-                            })
-                        };
-                        if let Some(id) = found {
-                            self.db.dyn_of_mut(pred).expect("dynamic").remove(id);
-                            self.invalidate_dependents(pred);
-                            report.replayed += 1;
-                            if w == worker && worker != dur::WORKER_ALL {
-                                report.own_worker_ops += 1;
-                            }
-                            if tx != 0 && !committed.contains(&tx) {
-                                loser_ops.push(UndoEntry::Retract { pred, clause: id });
-                            }
-                        }
+                        let dp = self.db.dyn_of(pred).expect("dynamic");
+                        let found = dp.all_live().into_iter().find(|&id| {
+                            let c = dp.clause(id);
+                            c.has_body == has_body && c.canon[..] == canon[..]
+                        });
+                        let Some(clause) = found else { continue };
+                        self.edb().remove(pred, Clauses::Ids(&[clause]))?;
+                        (tx, w, UndoEntry::Retract { pred, clause })
                     }
-                    Record::Checkpoint { preds } => {
-                        for sp in preds {
-                            let pred = self
-                                .db
-                                .declare_dynamic(sp.name, sp.arity)
-                                .map_err(EngineError::Other)?;
-                            let dp = self.db.dyn_of_mut(pred).expect("dynamic");
-                            dp.retract_all();
-                            for (has_body, canon) in sp.clauses {
-                                let tokens = dur::canon_tokens(&canon, sp.arity);
-                                dp.insert(tokens, Rc::from(canon), has_body, false);
-                            }
-                            self.invalidate_dependents(pred);
-                        }
-                        report.checkpoint_restored = true;
-                        report.replayed += 1;
-                    }
+                };
+                report.replayed += 1;
+                if w == worker && worker != dur::WORKER_ALL {
+                    report.own_worker_ops += 1;
+                }
+                if tx != 0 && !committed.contains(&tx) {
+                    loser_ops.push(undo);
                 }
             }
             Ok(())
@@ -922,23 +882,8 @@ impl Engine {
         self.db.durable.as_mut().expect("attached").suspended -= 1;
         redo?;
         // undo: roll loser transactions back, newest op first
-        for u in loser_ops.into_iter().rev() {
-            match u {
-                UndoEntry::Assert { pred, clause } => {
-                    if let Some(dp) = self.db.dyn_of_mut(pred) {
-                        dp.remove(clause);
-                    }
-                    self.invalidate_dependents(pred);
-                }
-                UndoEntry::Retract { pred, clause } => {
-                    if let Some(dp) = self.db.dyn_of_mut(pred) {
-                        dp.revive(clause);
-                    }
-                    self.invalidate_dependents(pred);
-                }
-            }
-            report.losers_undone += 1;
-        }
+        report.losers_undone = loser_ops.len() as u64;
+        self.edb().undo(loser_ops);
         self.obs
             .metrics
             .add(Counter::RecoveryReplayed, report.replayed);
@@ -1102,8 +1047,13 @@ impl Engine {
 
     /// Loads an object file produced by [`Engine::save_object`].
     pub fn load_object(&mut self, data: &[u8]) -> Result<usize, EngineError> {
-        let (_, _, n) = crate::objfile::decode(&mut self.db, &mut self.syms, data)?;
-        Ok(n)
+        let (name, arity, clauses) = crate::objfile::decode(&mut self.syms, data)?;
+        let pred = self
+            .db
+            .declare_dynamic(name, arity)
+            .map_err(EngineError::Other)?;
+        self.edb().insert(pred, &clauses, false)?;
+        Ok(clauses.len())
     }
 }
 
@@ -1123,22 +1073,23 @@ fn pred_display(db: &Program, syms: &SymbolTable, pred: u32) -> Option<String> {
     Some(format!("{}/{}", syms.name(p.name), p.arity))
 }
 
-/// Converts an AST clause directly to its canonical cell run plus index
-/// tokens — the machinery behind `Engine::assert_term` and consult-time
-/// asserts (no WAM heap needed).
-fn ast_clause_to_canon(head: &Term, body: Option<&Term>) -> (Vec<Option<Cell>>, Rc<[Cell]>, bool) {
+/// Converts an AST clause directly to its canonical cells (no WAM heap
+/// needed) — the machinery behind `Engine::assert_term` and consult of
+/// dynamic clauses. The body goals fold into one right-nested `','/2`
+/// term, so a consulted rule is the same clause `assert/1` stores.
+fn clause_to_canon(c: &Clause) -> NewClause {
     let mut canon: Vec<Cell> = Vec::new();
     let mut varmap: Vec<u32> = Vec::new();
-    let args = head.args();
-    for a in args {
+    for a in c.head.args() {
         ast_to_canon(a, &mut canon, &mut varmap);
     }
-    let has_body = body.is_some();
-    if let Some(b) = body {
-        ast_to_canon(b, &mut canon, &mut varmap);
+    for (i, g) in c.body.iter().enumerate() {
+        if i + 1 < c.body.len() {
+            canon.push(Cell::fun(well_known::COMMA, 2));
+        }
+        ast_to_canon(g, &mut canon, &mut varmap);
     }
-    let tokens: Vec<Option<Cell>> = args.iter().map(ast_token).collect();
-    (tokens, Rc::from(canon.into_boxed_slice()), has_body)
+    (Rc::from(canon), !c.body.is_empty())
 }
 
 fn ast_to_canon(t: &Term, out: &mut Vec<Cell>, varmap: &mut Vec<u32>) {
@@ -1162,16 +1113,6 @@ fn ast_to_canon(t: &Term, out: &mut Vec<Cell>, varmap: &mut Vec<u32>) {
             }
         }
         Term::HiLog(..) => unreachable!("HiLog encoded before assert"),
-    }
-}
-
-fn ast_token(t: &Term) -> Option<Cell> {
-    match t {
-        Term::Var(_) => None,
-        Term::Atom(s) => Some(Cell::con(*s)),
-        Term::Int(i) => Some(Cell::int(*i)),
-        Term::Compound(f, args) => Some(Cell::fun(*f, args.len())),
-        Term::HiLog(..) => unreachable!(),
     }
 }
 

@@ -23,7 +23,8 @@
 //! registers + forward trail · [`instr`] instruction set · [`table`] table
 //! space · [`compile`] clause compiler with hash and first-string indexing ·
 //! [`emulate`] emulator & SLG scheduler · [`builtins`] builtin predicates ·
-//! [`dynamic`] assert/retract with multi-field indexes · [`objfile`] bulk
+//! [`dynamic`] assert/retract with multi-field indexes · `edb` the one
+//! write path every clause insert and removal takes · [`objfile`] bulk
 //! load · [`engine`] public API.
 
 pub mod builtins;
@@ -31,6 +32,7 @@ pub mod cell;
 pub mod compile;
 pub mod durable;
 pub mod dynamic;
+pub(crate) mod edb;
 pub mod emulate;
 pub mod engine;
 pub mod engine_pool;

@@ -346,7 +346,14 @@ impl Program {
     /// Callees not seen before are created as `Undefined` predicates so
     /// the edge survives until they are defined.
     pub fn record_goal_deps(&mut self, caller: PredId, goal: &Term) {
-        for (f, n) in goal_callees(goal) {
+        let mut callees = Vec::new();
+        goal_callees(goal, &mut callees);
+        self.record_deps(caller, &callees);
+    }
+
+    /// Records an edge from `caller` to each `name/arity` callee.
+    pub fn record_deps(&mut self, caller: PredId, callees: &[(Sym, u16)]) {
+        for &(f, n) in callees {
             let callee = self.ensure_pred(f, n);
             self.record_dep(caller, callee);
         }
@@ -450,15 +457,11 @@ pub fn table_all_analysis(
     let mut edges: Vec<Vec<usize>> = vec![Vec::new(); keys.len()];
     for (k, clauses) in groups {
         let from = index[k];
-        for c in clauses {
-            for g in &c.body {
-                for callee in goal_callees(g) {
-                    if let Some(&to) = index.get(&callee) {
-                        edges[from].push(to);
-                    }
-                }
-            }
+        let mut callees = Vec::new();
+        for g in clauses.iter().flat_map(|c| &c.body) {
+            goal_callees(g, &mut callees);
         }
+        edges[from].extend(callees.iter().filter_map(|c| index.get(c)));
     }
     // Tarjan SCC
     let n = keys.len();
@@ -527,37 +530,35 @@ pub fn table_all_analysis(
     result
 }
 
-/// Functor/arity pairs of predicates a goal may call (descending through
-/// control constructs and negation).
-fn goal_callees(g: &Term) -> Vec<(Sym, u16)> {
-    let mut out = Vec::new();
-    fn walk(g: &Term, out: &mut Vec<(Sym, u16)>) {
-        match g {
-            Term::Compound(f, args)
-                if (*f == well_known::COMMA
-                    || *f == well_known::SEMICOLON
-                    || *f == well_known::ARROW)
-                    && args.len() == 2 =>
-            {
-                walk(&args[0], out);
-                walk(&args[1], out);
-            }
-            Term::Compound(f, args)
-                if (*f == well_known::NAF
-                    || *f == well_known::TNOT
-                    || *f == well_known::E_TNOT
-                    || *f == well_known::NOT)
-                    && args.len() == 1 =>
-            {
-                walk(&args[0], out);
-            }
-            Term::Atom(s) => out.push((*s, 0)),
-            Term::Compound(f, args) => out.push((*f, args.len() as u16)),
-            _ => {}
+/// True for the control constructs (`,`/`;`/`->`) and negation wrappers
+/// that a dependency walk descends through instead of recording as
+/// callees.
+pub(crate) fn is_control_goal(f: Sym, arity: usize) -> bool {
+    match arity {
+        2 => f == well_known::COMMA || f == well_known::SEMICOLON || f == well_known::ARROW,
+        1 => {
+            f == well_known::NAF
+                || f == well_known::TNOT
+                || f == well_known::E_TNOT
+                || f == well_known::NOT
         }
+        _ => false,
     }
-    walk(g, &mut out);
-    out
+}
+
+/// Appends the functor/arity pairs of predicates a goal may call
+/// (descending through control constructs and negation).
+fn goal_callees(g: &Term, out: &mut Vec<(Sym, u16)>) {
+    match g {
+        Term::Compound(f, args) if is_control_goal(*f, args.len()) => {
+            for a in args {
+                goal_callees(a, out);
+            }
+        }
+        Term::Atom(s) => out.push((*s, 0)),
+        Term::Compound(f, args) => out.push((*f, args.len() as u16)),
+        _ => {}
+    }
 }
 
 #[cfg(test)]

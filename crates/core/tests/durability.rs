@@ -270,6 +270,94 @@ fn recovered_asserts_rebuild_dependent_tables() {
     assert_eq!(e2.count("r(X)").unwrap(), 1);
 }
 
+/// Asserts the rule `p(X) :- q(X)` and the fact `q(1)` under the tabled
+/// `t(X) :- p(X)`, optionally checkpoints, crashes, and recovers: a write
+/// to `q` after recovery must still reach `t`'s table through the
+/// recovered rule's dependency edge.
+fn recovered_rule_edge(checkpoint: bool) {
+    let prog = ":- table t/1.\n:- dynamic p/1, q/1.\nt(X) :- p(X).\n";
+    let fs = shared_failpoint();
+    let log = Arc::new(DurableLog::open(Box::new(fs.clone())).unwrap());
+    let mut e = Engine::create_durable(prog, log).unwrap();
+    e.query("assert((p(X) :- q(X)))").unwrap();
+    e.query("assert(q(1))").unwrap();
+    if checkpoint {
+        e.checkpoint().unwrap();
+    }
+    drop(e);
+    let img = fs.lock().unwrap().crash_image(CrashMode::SyncedOnly);
+    let (mut e2, report) = reopen(img);
+    assert_eq!(report.checkpoint_restored, checkpoint);
+    assert_eq!(e2.count("t(X)").unwrap(), 1);
+    e2.query("assert(q(2))").unwrap();
+    assert_eq!(e2.count("t(X)").unwrap(), 2, "stale t/1 table");
+}
+
+#[test]
+fn redo_records_dependency_edges_of_recovered_rules() {
+    recovered_rule_edge(false);
+}
+
+#[test]
+fn checkpoint_restore_records_dependency_edges() {
+    recovered_rule_edge(true);
+}
+
+/// `t(X) :- p(X)` tabled over the dynamic fact `p(0)`.
+const TABLED_P: &str = ":- table t/1.\n:- dynamic p/1.\nt(X) :- p(X).\np(0).\n";
+
+/// An object file holding the facts `p(1)`, `p(2)`, `p(3)`.
+fn three_p_facts() -> Vec<u8> {
+    let mut e = Engine::new();
+    e.consult(":- dynamic p/1.\np(1). p(2). p(3).").unwrap();
+    e.save_object("p", 1).unwrap()
+}
+
+/// Loading an object file is an EDB write like any other: it invalidates
+/// the tables that depend on the loaded predicate.
+#[test]
+fn load_object_invalidates_dependent_tables() {
+    let log = Arc::new(DurableLog::open(Box::new(MemVfs::new())).unwrap());
+    let mut e = Engine::create_durable(TABLED_P, log).unwrap();
+    assert_eq!(e.count("t(X)").unwrap(), 1);
+    assert_eq!(e.load_object(&three_p_facts()).unwrap(), 3);
+    assert_eq!(e.count("t(X)").unwrap(), 4, "stale t/1 table");
+}
+
+/// Loaded facts are logged before they are applied, so they survive a
+/// crash that keeps only what was fsynced.
+#[test]
+fn load_object_is_logged() {
+    let fs = shared_failpoint();
+    let log = Arc::new(DurableLog::open(Box::new(fs.clone())).unwrap());
+    let mut e = Engine::create_durable(TABLED_P, log).unwrap();
+    e.load_object(&three_p_facts()).unwrap();
+    drop(e);
+    let img = fs.lock().unwrap().crash_image(CrashMode::SyncedOnly);
+    let (mut e2, _) = reopen(img);
+    assert_facts(&mut e2, &[0, 1, 2, 3], "after load_object");
+    assert_eq!(e2.count("t(X)").unwrap(), 4);
+}
+
+/// A multi-clause load outside a transaction is one implicit transaction:
+/// a crash at any byte of its records recovers none or all of the facts.
+#[test]
+fn crash_mid_load_object_recovers_none_or_all() {
+    let fs = shared_failpoint();
+    let log = Arc::new(DurableLog::open(Box::new(fs.clone())).unwrap());
+    let mut e = Engine::create_durable(TABLED_P, log.clone()).unwrap();
+    let start = log.size();
+    e.load_object(&three_p_facts()).unwrap();
+    let end = log.size();
+    drop(e);
+    for k in start..=end {
+        let img = fs.lock().unwrap().crash_image(CrashMode::Exact { at: k });
+        let (mut e2, _) = reopen(img);
+        let expected: &[i64] = if k == end { &[0, 1, 2, 3] } else { &[0] };
+        assert_facts(&mut e2, expected, &format!("load cut at byte {k}"));
+    }
+}
+
 /// Explicit transactions: committed work survives a crash, aborted and
 /// in-flight (no Commit record) work does not.
 #[test]

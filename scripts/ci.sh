@@ -47,6 +47,9 @@ cargo test -q --offline -p xsb-core --features proptest
 cargo test -q --offline -p xsb-obs --features proptest
 $WATCHDOG cargo test -q --offline -p xsb-server --features proptest
 
+echo "== xsbench unit tests (reply models, stats, workload generators)"
+$WATCHDOG cargo test -q --offline --manifest-path xsbench/Cargo.toml
+
 echo "== xsbench --check (BENCHMARK.json: every workload end to end, replies verified)"
 # its own package and target directory; it serves over real sockets, so
 # it sits under the watchdog like the server suite
